@@ -8,12 +8,14 @@
      dune exec bench/main.exe -- --quick   # smaller sweeps
      dune exec bench/main.exe -- --csv DIR # also write fig4/5/6 as CSV
      dune exec bench/main.exe -- --time
-         # wall-clock per experiment, min over 3 complete runs
+         # wall-clock per experiment (quick mode), min over 3 runs
      dune exec bench/main.exe -- --bench [--out FILE]
          # engine events/sec microbenchmarks plus wall clock and
-         # events/sec for every registered figure/scenario; --out writes
-         # the results as JSON (the committed BENCH_*.json files — see
-         # README "Benchmarks")
+         # events/sec for every registered experiment (quick mode);
+         # --out writes the results as JSON (the committed BENCH_*.json
+         # files — see README "Benchmarks")
+
+   Every experiment comes from the registry, [Check.Experiment.all].
 
    Simulated results are deterministic: re-running prints identical
    numbers.  Wall-clock timings of course are not; they are reported as
@@ -22,34 +24,16 @@
 let fmt = Format.std_formatter
 let null_fmt = Format.make_formatter (fun _ _ _ -> ()) (fun () -> ())
 
-(* One timed closure per registered table/figure: each run executes the
-   experiment's full simulation (output suppressed).  The long sweeps
-   (fig4-6, tab1, fig1) run in quick mode under timing so the harness
-   stays snappy. *)
+(* One timed closure per registered experiment: its quick run, output
+   suppressed, contract judged. *)
 let experiment_runs =
   List.map
-    (fun id ->
-      let fn =
-        match id with
-        | "fig4" ->
-            fun () -> ignore (Report.Figures.fig4 ~quick:true null_fmt)
-        | "fig5" ->
-            fun () -> ignore (Report.Figures.fig5 ~quick:true null_fmt)
-        | "fig6" ->
-            fun () -> ignore (Report.Figures.fig6 ~quick:true null_fmt)
-        | "tab1" ->
-            fun () -> ignore (Report.Figures.tab1 ~quick:true null_fmt)
-        | "fig1" ->
-            fun () -> ignore (Report.Figures.fig1 ~quick:true null_fmt)
-        | other -> fun () -> Report.Figures.run other null_fmt
-      in
-      (id, fn))
-    Report.Figures.all_ids
+    (fun (e : Check.Experiment.t) ->
+      (e.id, fun () -> ignore (e.run ~quick:true null_fmt)))
+    Check.Experiment.all
 
 (* Wall-clock per experiment.  A single deterministic simulation per
-   iteration makes direct min-of-N sampling the honest measurement; the
-   previous harness labelled one unrepeated sample a "bechamel" result,
-   which overstated what was measured. *)
+   iteration makes direct min-of-N sampling the honest measurement. *)
 let run_time ?(runs = 3) () =
   List.iter
     (fun (name, fn) ->
@@ -135,7 +119,7 @@ let () =
         Printf.printf "wrote %s\n" path);
     exit 0
   end;
-  if List.mem "--time" args || List.mem "--bechamel" args then begin
+  if List.mem "--time" args then begin
     run_time ();
     exit 0
   end;
@@ -151,29 +135,23 @@ let () =
     in
     strip args
   in
-  (match
-     List.filter (fun id -> not (List.mem id Report.Figures.all_ids)) ids
-   with
-  | [] -> ()
-  | unknown ->
-      List.iter
-        (fun id -> Printf.eprintf "unknown experiment id %S\n" id)
-        unknown;
-      Printf.eprintf "known ids: %s\n"
-        (String.concat " " Report.Figures.all_ids);
-      exit 1);
-  let to_run = if ids = [] then Report.Figures.all_ids else ids in
-  let maybe_csv name series =
-    match csv with Some dir -> write_csv dir name series | None -> ()
+  let to_run =
+    if ids = [] then Check.Experiment.all
+    else
+      try List.map Check.Experiment.find ids
+      with Invalid_argument msg ->
+        prerr_endline msg;
+        exit 1
+  in
+  (* --csv needs the series, so fig4-6 call their drivers directly. *)
+  let series =
+    [ ("fig4", Report.Figures.fig4); ("fig5", Report.Figures.fig5);
+      ("fig6", Report.Figures.fig6) ]
   in
   List.iter
-    (fun id ->
-      match id with
-      | "fig4" -> maybe_csv "fig4" (Report.Figures.fig4 ~quick fmt)
-      | "fig5" -> maybe_csv "fig5" (Report.Figures.fig5 ~quick fmt)
-      | "fig6" -> maybe_csv "fig6" (Report.Figures.fig6 ~quick fmt)
-      | "tab1" -> ignore (Report.Figures.tab1 ~quick fmt)
-      | "fig1" -> ignore (Report.Figures.fig1 ~quick fmt)
-      | other -> Report.Figures.run other fmt)
+    (fun (e : Check.Experiment.t) ->
+      match (csv, List.assoc_opt e.id series) with
+      | Some dir, Some figure -> write_csv dir e.id (figure ~quick fmt)
+      | _ -> ignore (e.run ~quick fmt))
     to_run;
   Format.fprintf fmt "@."

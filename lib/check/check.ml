@@ -25,6 +25,7 @@ module Violation = Violation
 module Lifecycle = Lifecycle
 module Invariants = Invariants
 module Determinism = Determinism
+module Experiment = Experiment
 module Scenario = Scenario
 module Soak = Soak
 module Slo = Slo
@@ -190,24 +191,6 @@ let run_scenario ?(seeds = 3) (sc : Scenario.t) : report =
     output = baseline.r_output;
     runs;
   }
-
-let run_all ?(seeds = 3) ?names () =
-  let scenarios =
-    match names with
-    | None -> Scenario.all
-    | Some names ->
-        List.map
-          (fun n ->
-            match Scenario.find n with
-            | Some sc -> sc
-            | None ->
-                invalid_arg
-                  (Printf.sprintf "Check.run_all: unknown scenario %S (know: %s)"
-                     n
-                     (String.concat ", " Scenario.names)))
-          names
-  in
-  List.map (run_scenario ~seeds) scenarios
 
 let pp_report fmt r =
   Format.fprintf fmt "@[<v>%s: %s (%d runs, hash %s)@," r.scenario

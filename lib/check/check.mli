@@ -15,6 +15,7 @@ module Violation = Violation
 module Lifecycle = Lifecycle
 module Invariants = Invariants
 module Determinism = Determinism
+module Experiment = Experiment
 module Scenario = Scenario
 module Soak = Soak
 module Slo = Slo
@@ -32,9 +33,5 @@ val ok : report -> bool
 
 val run_scenario : ?seeds:int -> Scenario.t -> report
 (** Runs the scenario under every pass; [seeds] defaults to 3. *)
-
-val run_all : ?seeds:int -> ?names:string list -> unit -> report list
-(** All scenarios, or the named subset.
-    @raise Invalid_argument on an unknown name. *)
 
 val pp_report : Format.formatter -> report -> unit

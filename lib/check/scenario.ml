@@ -1,8 +1,8 @@
-(* The checkable scenarios: every paper experiment the repository renders,
-   wrapped behind a uniform (formatter -> unit) runner.  Bandwidth sweeps
-   use their quick size lists — the checker cares about behaviour, not
-   curve resolution — and everything else runs exactly as the figure
-   command does.
+(* The checkable scenarios, derived from the experiment registry: each
+   experiment's quick run with its output rendered.  The checker cares
+   about behaviour, not curve resolution, so sweeps use their quick size
+   lists; experiments without a quick mode run as the figure command
+   does.
 
    [truncated] is set for ext4 only: that experiment deliberately cuts
    the run with [Net.run_for] while infinite TCP pump processes are still
@@ -18,53 +18,17 @@ type t = {
   run : Format.formatter -> unit;
 }
 
-let sc ?(truncated = false) name descr run = { name; descr; truncated; run }
+(* The slo panel's request-response ordering is timing-coupled and cannot
+   be trace-pinned (DESIGN §15), so scenario "slo" hashes the one-way
+   companion run instead of the experiment's own. *)
+let checked_run (e : Experiment.t) =
+  if e.id = "slo" then fun fmt ->
+    ignore (Report.Figures.slo_trace ~quick:true fmt)
+  else fun fmt -> ignore (e.run ~quick:true fmt)
 
-let all : t list =
-  [
-    sc "fig4" "CLIC bandwidth: MTU x 0/1-copy (quick sizes)" (fun fmt ->
-        ignore (Report.Figures.fig4 ~quick:true fmt));
-    sc "fig5" "CLIC vs TCP/IP bandwidth (quick sizes)" (fun fmt ->
-        ignore (Report.Figures.fig5 ~quick:true fmt));
-    sc "fig6" "CLIC, MPI-CLIC, MPI, PVM bandwidth (quick sizes)" (fun fmt ->
-        ignore (Report.Figures.fig6 ~quick:true fmt));
-    sc "fig7" "1400B packet stage timing" (fun fmt ->
-        ignore (Report.Figures.fig7 fmt));
-    sc "tab1" "headline scalars (quick sizes)" (fun fmt ->
-        ignore (Report.Figures.tab1 ~quick:true fmt));
-    sc "fig1" "user-to-NIC data path ablation (quick sizes)" (fun fmt ->
-        ignore (Report.Figures.fig1 ~quick:true fmt));
-    sc "sec2" "interrupt coalescing under saturated streams" (fun fmt ->
-        ignore (Report.Figures.sec2 fmt));
-    sc "sec3" "CLIC vs GAMMA vs VIA design points" (fun fmt ->
-        ignore (Report.Figures.sec3 fmt));
-    sc "ext1" "NIC-side fragmentation" (fun fmt ->
-        ignore (Report.Figures.ext1 fmt));
-    sc "ext2" "channel bonding" (fun fmt ->
-        ignore (Report.Figures.ext2 fmt));
-    sc "ext3" "64KB broadcast to 8 nodes" (fun fmt ->
-        ignore (Report.Figures.ext3 fmt));
-    sc "ext4" ~truncated:true
-      "latency under competing TCP bulk load (truncated run)" (fun fmt ->
-        ignore (Report.Figures.ext4 fmt));
-    sc "stress" "synthetic workloads, clean and 2% loss" (fun fmt ->
-        ignore (Report.Figures.stress fmt));
-    sc "chaos" "reliability under fault injection (quick)" (fun fmt ->
-        ignore (Report.Figures.chaos ~quick:true fmt));
-    sc "incast" "N->1 incast collapse, tail-drop vs 802.3x PAUSE (quick)"
-      (fun fmt -> ignore (Report.Figures.incast ~quick:true fmt));
-    sc "fabric"
-      "cross-rack incast + spine failure on a leaf/spine fabric (quick)"
-      (fun fmt -> ignore (Report.Figures.fabric ~quick:true fmt));
-    sc "congestion"
-      "congestion-regime matrix + same-seed GBN vs SACK bursty loss (quick)"
-      (fun fmt -> ignore (Report.Figures.congestion_matrix ~quick:true fmt));
-    sc "slo"
-      "one-way open-loop SLO traffic under gray failure (quick; the \
-       trace-pinned companion of `clic-sim slo`)"
-      (fun fmt -> ignore (Report.Figures.slo_trace ~quick:true fmt));
-  ]
+let of_experiment (e : Experiment.t) =
+  { name = e.id; descr = e.descr; truncated = e.truncated; run = checked_run e }
 
+let all = List.map of_experiment Experiment.all
 let names = List.map (fun s -> s.name) all
-
-let find name = List.find_opt (fun s -> s.name = name) all
+let find name = of_experiment (Experiment.find name)

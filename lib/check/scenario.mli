@@ -1,5 +1,7 @@
-(** The checkable scenarios: every paper experiment the repository
-    renders, wrapped behind a uniform runner.
+(** The checkable scenarios: one per {!Experiment.all} entry, in the same
+    order, running the experiment's quick mode.  Scenario ["slo"] runs
+    {!Report.Figures.slo_trace} instead, the trace-pinnable companion of
+    the slo panel.
 
     The record is concrete so tests can build synthetic scenarios. *)
 
@@ -15,4 +17,6 @@ type t = {
 
 val all : t list
 val names : string list
-val find : string -> t option
+
+val find : string -> t
+(** @raise Invalid_argument on an unknown name, naming the known ones. *)

@@ -43,7 +43,11 @@ type pingpong_result = {
   pp_bandwidth_mbps : float;
 }
 
+let check_positive what n =
+  if n < 1 then invalid_arg (Printf.sprintf "%s must be >= 1 (got %d)" what n)
+
 let pingpong cluster pair ~size ?(reps = 20) ?(warmup = 4) () =
+  check_positive "Measure.pingpong: reps" reps;
   let sim = cluster.Net.sim in
   let started = Ivar.create () and elapsed = Ivar.create () in
   Process.spawn sim (fun () ->
@@ -78,6 +82,7 @@ let pingpong cluster pair ~size ?(reps = 20) ?(warmup = 4) () =
 
 (* Per-iteration one-way samples, for latency distributions. *)
 let latency_samples cluster pair ~size ?(reps = 50) ?(warmup = 4) () =
+  check_positive "Measure.latency_samples: reps" reps;
   let sim = cluster.Net.sim in
   let samples = ref [] in
   Process.spawn sim (fun () ->
@@ -110,6 +115,7 @@ type stream_result = {
 }
 
 let stream cluster pair ~a ~b ~size ~messages =
+  check_positive "Measure.stream: messages" messages;
   let sim = cluster.Net.sim in
   let na = Net.node cluster a and nb = Net.node cluster b in
   let t0 = ref Time.zero and t1 = ref Time.zero in

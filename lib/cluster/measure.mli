@@ -29,13 +29,15 @@ val pingpong :
   Net.t -> pair -> size:int -> ?reps:int -> ?warmup:int -> unit ->
   pingpong_result
 (** Round-trip exchange of [size]-byte messages, [reps] timed iterations
-    after [warmup] untimed ones. *)
+    after [warmup] untimed ones.
+    @raise Invalid_argument if [reps < 1]. *)
 
 val latency_samples :
   Net.t -> pair -> size:int -> ?reps:int -> ?warmup:int -> unit ->
   Time.span list
 (** Per-iteration one-way latency samples (half round trips), for
-    distribution/jitter analysis. *)
+    distribution/jitter analysis.
+    @raise Invalid_argument if [reps < 1]. *)
 
 type stream_result = {
   elapsed : Time.span;
@@ -49,4 +51,5 @@ val stream :
   Net.t -> pair -> a:int -> b:int -> size:int -> messages:int ->
   stream_result
 (** One-way saturation stream of [messages] × [size] bytes; bandwidth is
-    measured at the receiving application. *)
+    measured at the receiving application.
+    @raise Invalid_argument if [messages < 1]. *)

@@ -978,7 +978,7 @@ let chaos ?(quick = false) fmt =
    CLIC's switched-fabric deployment story. *)
 
 type incast_row = {
-  in_name : string;
+  in_regime : [ `Tail_drop | `Pause ];
   in_sent : int;
   in_delivered : int;
   in_elapsed_ms : float;
@@ -1027,19 +1027,24 @@ let incast_counters c =
   done;
   (sw, !retx, !paused_ns)
 
-let incast ?(quick = false) ?(senders = 4) ?(size = 8192) ?messages fmt =
-  let messages =
-    match messages with Some m -> m | None -> if quick then 12 else 40
-  in
+(* The switch column of the incast and fabric panels. *)
+let pause_regime_name = function
+  | `Tail_drop -> "tail-drop"
+  | `Pause -> "802.3x PAUSE"
+
+let incast ?(quick = false) fmt =
+  let senders = 4 and size = 8192 in
+  let messages = if quick then 12 else 40 in
   let n = senders + 1 in
-  let run name ~pause =
+  let run regime =
+    let pause = regime = `Pause in
     let c = Net.create ~config:(incast_config ~pause) ~n () in
     let s =
       Workload.hotspot c ~seed:7 ~target:0 ~messages_per_node:messages ~size ()
     in
     let sw, retx, paused_ns = incast_counters c in
     {
-      in_name = name;
+      in_regime = regime;
       in_sent = s.Workload.sent;
       in_delivered = s.Workload.delivered;
       in_elapsed_ms = Time.to_ms s.Workload.elapsed;
@@ -1051,9 +1056,7 @@ let incast ?(quick = false) ?(senders = 4) ?(size = 8192) ?messages fmt =
       in_peak_buffer = Hw.Switch.peak_buffer_occupied sw;
     }
   in
-  let rows =
-    [ run "tail-drop" ~pause:false; run "802.3x PAUSE" ~pause:true ]
-  in
+  let rows = [ run `Tail_drop; run `Pause ] in
   Render.section fmt
     (Printf.sprintf
        "Incast: %d senders x %d x %dKB onto node 0, tail-drop vs 802.3x \
@@ -1067,7 +1070,7 @@ let incast ?(quick = false) ?(senders = 4) ?(size = 8192) ?messages fmt =
       (List.map
          (fun r ->
            [
-             r.in_name;
+             pause_regime_name r.in_regime;
              string_of_int r.in_sent;
              string_of_int r.in_delivered;
              Printf.sprintf "%.1f" r.in_elapsed_ms;
@@ -1083,7 +1086,8 @@ let incast ?(quick = false) ?(senders = 4) ?(size = 8192) ?messages fmt =
   (* MPI gather is the same collapse dressed as a collective: every rank
      sends its contribution to the root at once. *)
   let gather_bytes = if quick then 16384 else 65536 in
-  let gather name ~pause =
+  let gather regime =
+    let pause = regime = `Pause in
     let c = Net.create ~config:(incast_config ~pause) ~n () in
     let sim = c.Net.sim in
     let reg = Mpi_layer.Mpi_clic.registry () in
@@ -1103,16 +1107,14 @@ let incast ?(quick = false) ?(senders = 4) ?(size = 8192) ?messages fmt =
     done;
     Net.run c;
     let sw, retx, paused_ns = incast_counters c in
-    ( name,
+    ( regime,
       (match Ivar.peek finished with Some t -> Time.to_us t | None -> nan),
       retx,
       Hw.Switch.ingress_drops sw + Hw.Switch.egress_drops sw,
       Hw.Switch.pause_frames_tx sw,
       float_of_int paused_ns /. 1e3 )
   in
-  let gather_rows =
-    [ gather "tail-drop" ~pause:false; gather "802.3x PAUSE" ~pause:true ]
-  in
+  let gather_rows = [ gather `Tail_drop; gather `Pause ] in
   Render.section fmt
     (Printf.sprintf "MPI gather under congestion: %d ranks x %dKB to root 0"
        n (gather_bytes / 1024));
@@ -1122,9 +1124,9 @@ let incast ?(quick = false) ?(senders = 4) ?(size = 8192) ?messages fmt =
         "paused us" ]
     ~rows:
       (List.map
-         (fun (name, us, retx, drops, ptx, pus) ->
+         (fun (regime, us, retx, drops, ptx, pus) ->
            [
-             name;
+             pause_regime_name regime;
              Printf.sprintf "%.1f" us;
              string_of_int retx;
              string_of_int drops;
@@ -1151,7 +1153,7 @@ let incast ?(quick = false) ?(senders = 4) ?(size = 8192) ?messages fmt =
 (* ------------------------------------------------------------------ *)
 
 type fabric_row = {
-  fb_name : string;
+  fb_regime : [ `Tail_drop | `Pause ];
   fb_sent : int;
   fb_delivered : int;
   fb_elapsed_ms : float;
@@ -1207,7 +1209,8 @@ let fabric ?(quick = false) fmt =
   let per_rack = 3 in
   let topo = Topology.leaf_spine ~racks:3 ~per_rack ~spines:1 () in
   let senders = List.init (2 * per_rack) (fun i -> per_rack + i) in
-  let run name ~pause =
+  let run regime =
+    let pause = regime = `Pause in
     let c = Net.create_topo ~config:(incast_config ~pause) ~topo () in
     let s =
       Workload.hotspot c ~seed:11 ~target:0 ~senders
@@ -1231,7 +1234,7 @@ let fabric ?(quick = false) fmt =
         0 c.Net.switches
     in
     {
-      fb_name = name;
+      fb_regime = regime;
       fb_sent = s.Workload.sent;
       fb_delivered = s.Workload.delivered;
       fb_elapsed_ms = Time.to_ms s.Workload.elapsed;
@@ -1243,9 +1246,7 @@ let fabric ?(quick = false) fmt =
       fb_peak_buf = peak;
     }
   in
-  let rows =
-    [ run "tail-drop" ~pause:false; run "802.3x PAUSE" ~pause:true ]
-  in
+  let rows = [ run `Tail_drop; run `Pause ] in
   Render.section fmt
     (Printf.sprintf
        "Cross-rack incast: %d remote senders x %d x %dKB onto node 0 \
@@ -1259,7 +1260,7 @@ let fabric ?(quick = false) fmt =
       (List.map
          (fun r ->
            [
-             r.fb_name;
+             pause_regime_name r.fb_regime;
              string_of_int r.fb_sent;
              string_of_int r.fb_delivered;
              Printf.sprintf "%.1f" r.fb_elapsed_ms;
@@ -1337,9 +1338,9 @@ let fabric ?(quick = false) fmt =
    with the three congestion-control answers a switched fabric offers. *)
 
 type congestion_cell = {
-  cg_regime : string;
+  cg_regime : [ `Tail_drop | `Pause | `Ecn ];
   cg_topo : string;
-  cg_scheme : string;
+  cg_scheme : [ `Go_back_n | `Sack ];
   cg_sent : int;
   cg_delivered : int;
   cg_elapsed_ms : float;
@@ -1353,7 +1354,7 @@ type congestion_cell = {
 }
 
 type bursty_row = {
-  bu_scheme : string;
+  bu_scheme : [ `Go_back_n | `Sack ];
   bu_delivered : int;
   bu_elapsed_ms : float;
   bu_retx : int;
@@ -1451,9 +1452,9 @@ let congestion_cell ~quick ~regime ~topo ~scheme =
               ())
   in
   {
-    cg_regime = regime_name regime;
+    cg_regime = regime;
     cg_topo = (match topo with `Incast -> "incast" | `Cross_rack -> "cross-rack");
-    cg_scheme = scheme_name scheme;
+    cg_scheme = scheme;
     cg_sent = s.Workload.sent;
     cg_delivered = s.Workload.delivered;
     cg_elapsed_ms = Time.to_ms s.Workload.elapsed;
@@ -1488,7 +1489,7 @@ let bursty_run ~quick ~scheme =
   let r = Measure.stream c pair ~a:0 ~b:1 ~size ~messages in
   let k = Clic.Api.kernel (Net.node c 0).Node.clic in
   {
-    bu_scheme = scheme_name scheme;
+    bu_scheme = scheme;
     bu_delivered = messages;
     bu_elapsed_ms = Time.to_us r.Measure.elapsed /. 1000.;
     bu_retx = Clic.Clic_module.retransmissions k;
@@ -1521,9 +1522,9 @@ let congestion_matrix ?(quick = false) fmt =
       (List.map
          (fun r ->
            [
-             r.cg_regime;
+             regime_name r.cg_regime;
              r.cg_topo;
-             r.cg_scheme;
+             scheme_name r.cg_scheme;
              string_of_int r.cg_sent;
              string_of_int r.cg_delivered;
              Printf.sprintf "%.1f" r.cg_elapsed_ms;
@@ -1555,7 +1556,7 @@ let congestion_matrix ?(quick = false) fmt =
       (List.map
          (fun r ->
            [
-             r.bu_scheme;
+             scheme_name r.bu_scheme;
              string_of_int r.bu_delivered;
              Printf.sprintf "%.1f" r.bu_elapsed_ms;
              string_of_int r.bu_retx;
@@ -1588,8 +1589,8 @@ let congestion_matrix ?(quick = false) fmt =
    announces itself — the gray window is visible only in the tail. *)
 
 type slo_row = {
-  sl_system : string;  (* "clic" | "tcp" *)
-  sl_condition : string;  (* "healthy" | "fail-slow" | "fail-slow+loss" *)
+  sl_system : [ `Clic | `Tcp ];
+  sl_condition : [ `Healthy | `Fail_slow | `Fail_slow_loss ];
   sl_requests : int;
   sl_completed : int;
   sl_stranded : int;
@@ -1599,6 +1600,13 @@ type slo_row = {
   sl_p999_us : float;
   sl_goodput_mbps : float;
 }
+
+let slo_conditions = [ `Healthy; `Fail_slow; `Fail_slow_loss ]
+
+let slo_condition_name = function
+  | `Healthy -> "healthy"
+  | `Fail_slow -> "fail-slow"
+  | `Fail_slow_loss -> "fail-slow+loss"
 
 let slo_fault_from = Time.us 250.
 
@@ -1717,11 +1725,7 @@ let slo ?(quick = false) fmt =
   let deadline = Time.ms 1. in
   let port = 9300 in
   let seed = 30901 in
-  let conditions =
-    [ ("healthy", `Healthy); ("fail-slow", `Fail_slow);
-      ("fail-slow+loss", `Fail_slow_loss) ]
-  in
-  let clic_row (name, condition) =
+  let clic_row condition =
     let c = Net.create ~config:(slo_config ~quick ~condition) ~n:4 () in
     slo_inject ~quick ~condition c;
     let s, r =
@@ -1731,8 +1735,8 @@ let slo ?(quick = false) fmt =
     in
     ignore (s : Workload.stats);
     {
-      sl_system = "clic";
-      sl_condition = name;
+      sl_system = `Clic;
+      sl_condition = condition;
       sl_requests = r.Workload.slo_requests;
       sl_completed = r.Workload.slo_completed;
       sl_stranded = r.Workload.slo_stranded;
@@ -1743,7 +1747,7 @@ let slo ?(quick = false) fmt =
       sl_goodput_mbps = r.Workload.slo_goodput_mbps;
     }
   in
-  let tcp_row (name, condition) =
+  let tcp_row condition =
     let c = Net.create ~config:(slo_config ~quick ~condition) ~n:4 () in
     slo_inject ~quick ~condition c;
     let fired, completed, timeouts, arr, goodput =
@@ -1751,8 +1755,8 @@ let slo ?(quick = false) fmt =
         ~requests_per_node ~req_size ~resp_size ~deadline ~port
     in
     {
-      sl_system = "tcp";
-      sl_condition = name;
+      sl_system = `Tcp;
+      sl_condition = condition;
       sl_requests = fired;
       sl_completed = completed;
       sl_stranded = fired - completed;
@@ -1764,7 +1768,7 @@ let slo ?(quick = false) fmt =
     }
   in
   let rows =
-    List.map clic_row conditions @ List.map tcp_row conditions
+    List.map clic_row slo_conditions @ List.map tcp_row slo_conditions
   in
   Render.section fmt
     "Production SLOs: open-loop request-response under gray failure \
@@ -1776,8 +1780,8 @@ let slo ?(quick = false) fmt =
     ~rows:
       (List.map
          (fun r ->
-           [ r.sl_system;
-             r.sl_condition;
+           [ (match r.sl_system with `Clic -> "clic" | `Tcp -> "tcp");
+             slo_condition_name r.sl_condition;
              Printf.sprintf "%d/%d" r.sl_completed r.sl_requests;
              string_of_int r.sl_timeouts;
              Printf.sprintf "%.1f" r.sl_p50_us;
@@ -1802,11 +1806,7 @@ let slo ?(quick = false) fmt =
    and cannot be pinned; it stays behind `clic-sim slo`.) *)
 let slo_trace ?(quick = false) fmt =
   let requests_per_node = if quick then 40 else 120 in
-  let conditions =
-    [ ("healthy", `Healthy); ("fail-slow", `Fail_slow);
-      ("fail-slow+loss", `Fail_slow_loss) ]
-  in
-  let row (name, condition) =
+  let row condition =
     let c = Net.create ~config:(slo_config ~quick ~condition) ~n:4 () in
     slo_inject ~quick ~condition c;
     let s, r =
@@ -1816,9 +1816,9 @@ let slo_trace ?(quick = false) fmt =
         ()
     in
     ignore (s : Workload.stats);
-    (name, r)
+    (slo_condition_name condition, r)
   in
-  let rows = List.map row conditions in
+  let rows = List.map row slo_conditions in
   Render.section fmt
     "SLO trace panel: one-way open-loop CLIC requests under gray failure";
   Render.table fmt
@@ -1835,33 +1835,3 @@ let slo_trace ?(quick = false) fmt =
          rows)
     ();
   rows
-
-(* ------------------------------------------------------------------ *)
-
-let all_ids =
-  [ "fig4"; "fig5"; "fig6"; "fig7"; "tab1"; "fig1"; "sec2"; "sec3"; "ext1";
-    "ext2"; "ext3"; "ext4"; "stress"; "chaos"; "incast"; "fabric";
-    "congestion"; "slo"; "slo-trace" ]
-
-let run id fmt =
-  match id with
-  | "fig4" -> ignore (fig4 fmt)
-  | "fig5" -> ignore (fig5 fmt)
-  | "fig6" -> ignore (fig6 fmt)
-  | "fig7" -> ignore (fig7 fmt)
-  | "tab1" -> ignore (tab1 fmt)
-  | "fig1" -> ignore (fig1 fmt)
-  | "sec2" -> ignore (sec2 fmt)
-  | "sec3" -> ignore (sec3 fmt)
-  | "ext1" -> ignore (ext1 fmt)
-  | "ext2" -> ignore (ext2 fmt)
-  | "ext3" -> ignore (ext3 fmt)
-  | "ext4" -> ignore (ext4 fmt)
-  | "stress" -> ignore (stress fmt)
-  | "chaos" -> ignore (chaos fmt)
-  | "incast" -> ignore (incast fmt)
-  | "fabric" -> ignore (fabric fmt)
-  | "congestion" -> ignore (congestion_matrix fmt)
-  | "slo" -> ignore (slo fmt)
-  | "slo-trace" -> ignore (slo_trace fmt)
-  | other -> invalid_arg (Printf.sprintf "Figures.run: unknown id %S" other)

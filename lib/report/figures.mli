@@ -98,7 +98,7 @@ val chaos : ?quick:bool -> Format.formatter -> chaos_row list
     logic keep the transport live under abuse. *)
 
 type incast_row = {
-  in_name : string;
+  in_regime : [ `Tail_drop | `Pause ];
   in_sent : int;
   in_delivered : int;
   in_elapsed_ms : float;
@@ -118,18 +118,17 @@ val incast_config : pause:bool -> Cluster.Node.config
 
 val incast :
   ?quick:bool ->
-  ?senders:int ->
-  ?size:int ->
-  ?messages:int ->
   Format.formatter ->
-  incast_row list * (string * float * int * int * int * float) list
-(** N→1 incast collapse, tail-drop vs 802.3x PAUSE, plus an MPI gather
-    under the same congestion: (switch, completion us, retx, switch drops,
-    pause tx, paused us) per condition.  Every message must be delivered
+  incast_row list
+  * ([ `Tail_drop | `Pause ] * float * int * int * int * float) list
+(** N→1 incast collapse of 4 senders × 40 (quick: 12) × 8 KB messages,
+    tail-drop vs 802.3x PAUSE, plus an MPI gather under the same
+    congestion: (switch, completion us, retx, switch drops, pause tx,
+    paused us) per condition.  Every message must be delivered
     in every condition; with PAUSE the switch must lose nothing at all. *)
 
 type fabric_row = {
-  fb_name : string;
+  fb_regime : [ `Tail_drop | `Pause ];
   fb_sent : int;
   fb_delivered : int;
   fb_elapsed_ms : float;
@@ -161,9 +160,9 @@ val fabric :
     switch loss. *)
 
 type congestion_cell = {
-  cg_regime : string;  (** "tail-drop" | "pause" | "ecn" *)
+  cg_regime : [ `Tail_drop | `Pause | `Ecn ];
   cg_topo : string;  (** "incast" | "cross-rack" *)
-  cg_scheme : string;  (** "gbn" | "sack" *)
+  cg_scheme : [ `Go_back_n | `Sack ];
   cg_sent : int;
   cg_delivered : int;
   cg_elapsed_ms : float;
@@ -177,7 +176,7 @@ type congestion_cell = {
 }
 
 type bursty_row = {
-  bu_scheme : string;
+  bu_scheme : [ `Go_back_n | `Sack ];
   bu_delivered : int;
   bu_elapsed_ms : float;
   bu_retx : int;
@@ -210,8 +209,8 @@ val congestion_matrix :
     retransmits strictly fewer bytes than go-back-N. *)
 
 type slo_row = {
-  sl_system : string;  (** "clic" | "tcp" *)
-  sl_condition : string;  (** "healthy" | "fail-slow" | "fail-slow+loss" *)
+  sl_system : [ `Clic | `Tcp ];
+  sl_condition : [ `Healthy | `Fail_slow | `Fail_slow_loss ];
   sl_requests : int;
   sl_completed : int;
   sl_stranded : int;  (** requests never answered when the run drained *)
@@ -239,8 +238,3 @@ val slo_trace :
     order is its arrival schedule, so the logical trace is invariant
     under seeded same-instant permutations — this is what the checker's
     "slo" scenario hashes. *)
-
-val all_ids : string list
-val run : string -> Format.formatter -> unit
-(** Run one experiment by id ("fig4" ... "slo-trace").
-    @raise Invalid_argument on unknown ids. *)

@@ -1,4 +1,4 @@
-(* Tests for the analysis layer: heap/sim tie-break determinism hooks, the
+(* Tests for the analysis layer: sim tie-break determinism hooks, the
    lifecycle sanitizer's true positives, the invariant monitors, and the
    determinism detector — including that the whole checker runs a real
    scenario clean end to end. *)
@@ -12,26 +12,6 @@ let contains haystack needle =
   let nh = String.length haystack and nn = String.length needle in
   let rec go i = i + nn <= nh && (String.sub haystack i nn = needle || go (i + 1)) in
   go 0
-
-(* ------------------------------------------------------------------ *)
-(* Satellite: FIFO stability of the event heap under many equal keys *)
-
-let test_heap_fifo_stability () =
-  let h = Heap.create ~dummy:(0, 0) ~cmp:(fun (a, _) (b, _) -> compare a b) in
-  (* 500 entries with the same key: pop order must be insertion order *)
-  for i = 0 to 499 do
-    Heap.push h (7, i)
-  done;
-  (* sprinkle earlier and later keys around them *)
-  Heap.push h (9, -1);
-  Heap.push h (1, -2);
-  check_int "first is smallest key" (-2) (snd (Heap.pop_exn h));
-  for i = 0 to 499 do
-    let k, v = Heap.pop_exn h in
-    check_int "equal keys stay FIFO" i v;
-    check_int "key" 7 k
-  done;
-  check_int "largest key last" (-1) (snd (Heap.pop_exn h))
 
 (* ------------------------------------------------------------------ *)
 (* Seeded tie-break: same set of same-instant events, permuted order *)
@@ -424,36 +404,41 @@ let test_soak_fabric_cut_focused () =
   check_bool "a node crashed mid-trial" true (ev.Check.Soak.ev_crashes > 0);
   check_bool "traffic actually flowed" true (ev.Check.Soak.ev_delivered > 0)
 
-(* The PR-8 compatibility contract: the topology-DSL rebuild of the wiring
-   must leave every pre-existing scenario's logical trace untouched.  The
-   full 15-scenario sweep runs in CI (`clic-sim check --hashes` against
-   test/golden/scenario_hashes.txt); in-suite, a fast subset pins the
-   hashes on every `dune runtest`. *)
+(* The compatibility contract: every scenario's logical trace stays where
+   test/golden/scenario_hashes.txt pins it.  The full sweep runs in CI
+   (`clic-sim check --hashes` against the golden file); in-suite, a fast
+   subset pins the hashes on every `dune runtest`. *)
 let fast_hash_scenarios =
   [ "fig1"; "fig7"; "sec2"; "sec3"; "ext2"; "ext3"; "chaos"; "incast"; "fabric" ]
 
-let test_scenario_hashes_pinned () =
-  let golden =
-    let ic = open_in "golden/scenario_hashes.txt" in
-    let rec loop acc =
-      match input_line ic with
-      | line -> (
-          match String.split_on_char ' ' line with
-          | [ name; hash ] -> loop ((name, hash) :: acc)
-          | _ -> loop acc)
-      | exception End_of_file ->
-          close_in ic;
-          List.rev acc
-    in
-    loop []
+(* (name, hash) lines of the golden file, in file order. *)
+let golden_hashes () =
+  let ic = open_in "golden/scenario_hashes.txt" in
+  let rec loop acc =
+    match input_line ic with
+    | line -> (
+        match String.split_on_char ' ' line with
+        | [ name; hash ] -> loop ((name, hash) :: acc)
+        | _ -> loop acc)
+    | exception End_of_file ->
+        close_in ic;
+        List.rev acc
   in
+  loop []
+
+let test_scenario_hashes_pinned () =
+  let golden = golden_hashes () in
   check_bool "golden file pins every scenario" true (List.length golden >= 16);
   List.iter
     (fun name ->
       if not (List.mem_assoc name golden) then
         Alcotest.failf "scenario %s missing from the golden file" name)
     fast_hash_scenarios;
-  let reports = Check.run_all ~seeds:0 ~names:fast_hash_scenarios () in
+  let reports =
+    List.map
+      (fun name -> Check.run_scenario ~seeds:0 (Check.Scenario.find name))
+      fast_hash_scenarios
+  in
   List.iter
     (fun r ->
       Alcotest.(check string)
@@ -464,11 +449,7 @@ let test_scenario_hashes_pinned () =
     reports
 
 let test_probe_on_off_equivalence () =
-  let sc =
-    match Check.Scenario.find "ext3" with
-    | Some sc -> sc
-    | None -> Alcotest.fail "scenario ext3 not registered"
-  in
+  let sc = Check.Scenario.find "ext3" in
   let render () =
     let buf = Buffer.create 4096 in
     let fmt = Format.formatter_of_buffer buf in
@@ -484,6 +465,234 @@ let test_probe_on_off_equivalence () =
   check_bool "probe saw the run" true (!seen > 0);
   check_bool "probes off again" false (Probe.enabled ());
   Alcotest.(check string) "identical rendered trace with probes on" off on_
+
+(* ------------------------------------------------------------------ *)
+(* The experiment registry *)
+
+let registry_ids = List.map (fun e -> e.Check.Experiment.id) Check.Experiment.all
+
+let test_registry_ids_unique () =
+  check_int "no duplicate ids"
+    (List.length registry_ids)
+    (List.length (List.sort_uniq compare registry_ids))
+
+let test_scenarios_match_golden () =
+  Alcotest.(check (list string))
+    "scenario names are the golden file's keys, in order"
+    (List.map fst (golden_hashes ()))
+    Check.Scenario.names
+
+let render f =
+  let buf = Buffer.create 4096 in
+  let fmt = Format.formatter_of_buffer buf in
+  f fmt;
+  Format.pp_print_flush fmt ();
+  Buffer.contents buf
+
+let starts_with ~prefix s =
+  String.length s >= String.length prefix
+  && String.sub s 0 (String.length prefix) = prefix
+
+(* Regression: `figure <id> --quick` once ignored --quick for every id
+   outside a hand-kept list.  The registry's quick run of each experiment
+   with a quick mode must render what the driver's own quick mode does
+   (slo appends its degradation verdict after the panel).  The other
+   drivers take no quick flag. *)
+let test_quick_honoured () =
+  let open Report.Figures in
+  let quick_drivers =
+    [ ("fig4", fun fmt -> ignore (fig4 ~quick:true fmt));
+      ("fig5", fun fmt -> ignore (fig5 ~quick:true fmt));
+      ("fig6", fun fmt -> ignore (fig6 ~quick:true fmt));
+      ("tab1", fun fmt -> ignore (tab1 ~quick:true fmt));
+      ("fig1", fun fmt -> ignore (fig1 ~quick:true fmt));
+      ("chaos", fun fmt -> ignore (chaos ~quick:true fmt));
+      ("incast", fun fmt -> ignore (incast ~quick:true fmt));
+      ("fabric", fun fmt -> ignore (fabric ~quick:true fmt));
+      ("congestion", fun fmt -> ignore (congestion_matrix ~quick:true fmt));
+      ("slo", fun fmt -> ignore (slo ~quick:true fmt)) ]
+  in
+  let no_quick_mode =
+    [ "fig7"; "sec2"; "sec3"; "ext1"; "ext2"; "ext3"; "ext4"; "stress" ]
+  in
+  List.iter
+    (fun (e : Check.Experiment.t) ->
+      match List.assoc_opt e.id quick_drivers with
+      | Some driver ->
+          let expected = render driver in
+          let got = render (fun fmt -> ignore (e.run ~quick:true fmt)) in
+          check_bool (e.id ^ " --quick renders the quick driver") true
+            (starts_with ~prefix:expected got)
+      | None ->
+          check_bool (e.id ^ " has no quick mode") true
+            (List.mem e.id no_quick_mode))
+    Check.Experiment.all
+
+(* Each contract rule convicts a hand-built result broken in exactly one
+   place, and nothing convicts the unbroken one. *)
+let rules vs =
+  List.sort_uniq compare (List.map (fun v -> v.Check.Violation.rule) vs)
+
+let check_rules name contract good broken =
+  Alcotest.(check (list string)) (name ^ ": intact result holds") []
+    (rules (contract good));
+  List.iter
+    (fun (rule, bad) ->
+      Alcotest.(check (list string)) (name ^ ": " ^ rule) [ rule ]
+        (rules (contract bad)))
+    broken
+
+let test_incast_contract_rules () =
+  let open Report.Figures in
+  let tail =
+    { in_regime = `Tail_drop; in_sent = 48; in_delivered = 48;
+      in_elapsed_ms = 9.; in_retx = 91; in_ingress_drops = 5;
+      in_egress_drops = 46; in_pause_tx = 0; in_tx_paused_us = 0.;
+      in_peak_buffer = 19734 }
+  and pause =
+    { in_regime = `Pause; in_sent = 48; in_delivered = 48;
+      in_elapsed_ms = 4.; in_retx = 0; in_ingress_drops = 0;
+      in_egress_drops = 0; in_pause_tx = 8; in_tx_paused_us = 500.;
+      in_peak_buffer = 40000 }
+  in
+  let gather = [ (`Tail_drop, 900., 3, 3, 0, 0.); (`Pause, 800., 0, 0, 0, 0.) ] in
+  let with_rows rows = (rows, gather) in
+  check_rules "incast" Check.Experiment.incast_contract ([ tail; pause ], gather)
+    [ ("delivery", with_rows [ { tail with in_delivered = 47 }; pause ]);
+      ("workload",
+        with_rows [ { tail with in_sent = 12; in_delivered = 12 }; pause ]);
+      ("collapse", with_rows [ { tail with in_egress_drops = 0 }; pause ]);
+      ("collapse", ([ tail; pause ], [ (`Tail_drop, 900., 0, 0, 0, 0.);
+                                        (`Pause, 800., 0, 0, 0, 0.) ]));
+      ("pause-lossless", with_rows [ tail; { pause with in_ingress_drops = 1 } ]);
+      ("pause-lossless", ([ tail; pause ], [ (`Tail_drop, 900., 3, 3, 0, 0.);
+                                              (`Pause, 800., 1, 1, 0, 0.) ]));
+      ("pause-engaged", with_rows [ tail; { pause with in_pause_tx = 0 } ]);
+      ("pause-engaged", with_rows [ tail; { pause with in_tx_paused_us = 0. } ]);
+      ("shape", with_rows [ tail ]) ]
+
+let test_fabric_contract_rules () =
+  let open Report.Figures in
+  let tail =
+    { fb_regime = `Tail_drop; fb_sent = 48; fb_delivered = 48;
+      fb_elapsed_ms = 8.5; fb_retx = 134; fb_drops = 82; fb_spine_pause = 0;
+      fb_tor_pause = 0; fb_paused_us = 0.; fb_peak_buf = 18998 }
+  and pause =
+    { fb_regime = `Pause; fb_sent = 48; fb_delivered = 48;
+      fb_elapsed_ms = 3.7; fb_retx = 0; fb_drops = 0; fb_spine_pause = 10;
+      fb_tor_pause = 4; fb_paused_us = 736.; fb_peak_buf = 47196 }
+  and reroute =
+    { rr_sent = 48; rr_delivered = 48; rr_retx = 1; rr_spine0_tx = 10;
+      rr_spine1_tx = 90; rr_down_drops = 1 }
+  in
+  let with_rows rows = (rows, reroute) in
+  check_rules "fabric" Check.Experiment.fabric_contract ([ tail; pause ], reroute)
+    [ ("delivery", with_rows [ tail; { pause with fb_delivered = 40 } ]);
+      ("workload",
+        with_rows [ tail; { pause with fb_sent = 8; fb_delivered = 8 } ]);
+      ("collapse", with_rows [ { tail with fb_drops = 0 }; pause ]);
+      ("pause-lossless", with_rows [ tail; { pause with fb_drops = 2 } ]);
+      ("pause-tree", with_rows [ tail; { pause with fb_spine_pause = 0 } ]);
+      ("pause-tree", with_rows [ tail; { pause with fb_tor_pause = 0 } ]);
+      ("reroute", ([ tail; pause ], { reroute with rr_delivered = 47 }));
+      ("reroute", ([ tail; pause ], { reroute with rr_spine1_tx = 10 }));
+      ("shape", with_rows [ pause ]) ]
+
+let test_congestion_contract_rules () =
+  let open Report.Figures in
+  let cell regime topo scheme =
+    let lossy = regime = `Tail_drop in
+    { cg_regime = regime; cg_topo = topo; cg_scheme = scheme; cg_sent = 32;
+      cg_delivered = 32; cg_elapsed_ms = 5.; cg_retx = (if lossy then 40 else 0);
+      cg_retx_bytes = (if lossy then 50000 else 0);
+      cg_switch_drops = (if lossy then 40 else 0);
+      cg_pause_tx = (if regime = `Pause then 8 else 0);
+      cg_ecn_marks = (if regime = `Ecn then 60 else 0);
+      cg_ce_echoes = (if regime = `Ecn then 36 else 0); cg_sacked = 0 }
+  in
+  let cells =
+    List.concat_map
+      (fun regime ->
+        List.concat_map
+          (fun topo -> [ cell regime topo `Go_back_n; cell regime topo `Sack ])
+          [ "incast"; "cross-rack" ])
+      [ `Tail_drop; `Pause; `Ecn ]
+  in
+  let gbn =
+    { bu_scheme = `Go_back_n; bu_delivered = 40; bu_elapsed_ms = 20.;
+      bu_retx = 100; bu_retx_bytes = 120000; bu_retx_bytes_saved = 0;
+      bu_sacked = 0; bu_timeouts = 9 }
+  in
+  let sack =
+    { gbn with bu_scheme = `Sack; bu_retx_bytes = 70000;
+               bu_retx_bytes_saved = 50000; bu_sacked = 30 }
+  in
+  (* the intact matrix with cell [i] replaced *)
+  let with_cell i f = (List.mapi (fun j c -> if i = j then f c else c) cells,
+                       [ gbn; sack ]) in
+  let first regime =
+    let rec go i = function
+      | c :: rest -> if c.cg_regime = regime then i else go (i + 1) rest
+      | [] -> Alcotest.fail "regime missing from the hand-built matrix"
+    in
+    go 0 cells
+  in
+  check_rules "congestion" Check.Experiment.congestion_contract
+    (cells, [ gbn; sack ])
+    [ ("delivery", with_cell 0 (fun c -> { c with cg_delivered = 31 }));
+      ("shape", (List.tl cells, [ gbn; sack ]));
+      ("shape", (cells, [ gbn ]));
+      ("ecn-lossless",
+        with_cell (first `Ecn) (fun c -> { c with cg_switch_drops = 1 }));
+      ("ecn-lossless",
+        with_cell (first `Ecn) (fun c -> { c with cg_pause_tx = 1 }));
+      ("ecn-marks", with_cell (first `Ecn) (fun c -> { c with cg_ce_echoes = 0 }));
+      ("pause-lossless",
+        with_cell (first `Pause) (fun c -> { c with cg_switch_drops = 1 }));
+      ("no-marks", with_cell (first `Pause) (fun c -> { c with cg_ecn_marks = 1 }));
+      ("collapse",
+        ( List.map
+            (fun c ->
+              if c.cg_regime = `Tail_drop then { c with cg_switch_drops = 0 }
+              else c)
+            cells,
+          [ gbn; sack ] ));
+      ("sack-saves", (cells, [ gbn; { sack with bu_retx_bytes = 120000 } ]));
+      ("sack-saves", (cells, [ { gbn with bu_timeouts = 0 }; sack ])) ]
+
+let test_slo_contract_rules () =
+  let open Report.Figures in
+  let row system condition p999 =
+    { sl_system = system; sl_condition = condition; sl_requests = 160;
+      sl_completed = 160; sl_stranded = 0; sl_timeouts = 0; sl_p50_us = 250.;
+      sl_p99_us = p999 /. 2.; sl_p999_us = p999; sl_goodput_mbps = 240. }
+  in
+  let healthy = row `Clic `Healthy 473.
+  and slow = row `Clic `Fail_slow 1943.
+  and lossy = row `Clic `Fail_slow_loss 4104.
+  (* TCP is the comparison, not the contract: its tail may do anything *)
+  and tcp = { (row `Tcp `Healthy 55342.) with sl_completed = 150;
+                                              sl_stranded = 10 } in
+  let verdict =
+    { Check.Slo.v_contract = Check.Slo.default; v_healthy = 43;
+      v_degraded = 68; v_recovered = 110; v_healthy_p999_us = 906.;
+      v_degraded_p999_us = 1957.7; v_recovered_p999_us = 686.;
+      v_violations = [] }
+  in
+  let with_rows rows = (rows, verdict) in
+  check_rules "slo" Check.Experiment.slo_contract
+    ([ healthy; slow; lossy; tcp ], verdict)
+    [ ("delivery", with_rows [ healthy; { slow with sl_completed = 159 }; lossy ]);
+      ("delivery", with_rows [ healthy; slow; { lossy with sl_stranded = 1 } ]);
+      ("tail-bleed", with_rows [ healthy; { slow with sl_p999_us = 400. }; lossy ]);
+      ("shape", with_rows [ healthy; lossy; tcp ]);
+      ( "bounded-bleed",
+        ( [ healthy; slow; lossy ],
+          { verdict with
+            Check.Slo.v_violations =
+              [ Check.Violation.make ~pass:"slo" ~rule:"bounded-bleed"
+                  ~time_ns:0 "degraded p999 over bound" ] } ) ) ]
+
 
 (* ------------------------------------------------------------------ *)
 (* SLO degradation contracts: validation and phase classification
@@ -698,8 +907,6 @@ let test_lint_mli_coverage () =
 
 let suite =
   [
-    Alcotest.test_case "heap: equal keys drain FIFO" `Quick
-      test_heap_fifo_stability;
     Alcotest.test_case "sim: seeded tie-break permutes same-instant events"
       `Quick test_sim_tie_break;
     Alcotest.test_case "lifecycle: double free" `Quick
@@ -754,6 +961,19 @@ let suite =
       test_scenario_hashes_pinned;
     Alcotest.test_case "probe on/off trace equivalence" `Quick
       test_probe_on_off_equivalence;
+    Alcotest.test_case "experiment: registry ids are unique" `Quick
+      test_registry_ids_unique;
+    Alcotest.test_case "experiment: scenarios match the golden file" `Quick
+      test_scenarios_match_golden;
+    Alcotest.test_case "experiment: --quick reaches every driver" `Slow
+      test_quick_honoured;
+    Alcotest.test_case "contract: incast rules" `Quick
+      test_incast_contract_rules;
+    Alcotest.test_case "contract: fabric rules" `Quick
+      test_fabric_contract_rules;
+    Alcotest.test_case "contract: congestion rules" `Quick
+      test_congestion_contract_rules;
+    Alcotest.test_case "contract: slo rules" `Quick test_slo_contract_rules;
     Alcotest.test_case "lint: bad fixtures trigger exactly their rule" `Quick
       test_lint_bad_fixtures;
     Alcotest.test_case "lint: clean fixture has zero findings" `Quick

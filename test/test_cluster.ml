@@ -23,6 +23,27 @@ let test_bonded_cluster_has_parallel_switches () =
   check_int "two switches" 2 (List.length c.Net.switches);
   check_int "two NICs per node" 2 (List.length (Net.node c 0).Node.nics)
 
+(* Non-positive repetition or message counts are argument errors, not a
+   division by zero or a silently empty run. *)
+let test_measure_rejects_non_positive_counts () =
+  let pair_on () =
+    let c = Net.create ~n:2 () in
+    (c, Measure.clic_pair c ~a:0 ~b:1 ())
+  in
+  let rejects msg f =
+    Alcotest.check_raises msg (Invalid_argument msg) (fun () ->
+        let c, pair = pair_on () in
+        ignore (f c pair))
+  in
+  rejects "Measure.pingpong: reps must be >= 1 (got 0)" (fun c pair ->
+      Measure.pingpong c pair ~size:0 ~reps:0 ());
+  rejects "Measure.pingpong: reps must be >= 1 (got -1)" (fun c pair ->
+      Measure.pingpong c pair ~size:0 ~reps:(-1) ());
+  rejects "Measure.latency_samples: reps must be >= 1 (got 0)" (fun c pair ->
+      Measure.latency_samples c pair ~size:0 ~reps:0 ());
+  rejects "Measure.stream: messages must be >= 1 (got -2)" (fun c pair ->
+      Measure.stream c pair ~a:0 ~b:1 ~size:1024 ~messages:(-2))
+
 let test_determinism_same_run_same_numbers () =
   let measure () =
     let c = Net.create ~n:2 () in
@@ -815,6 +836,8 @@ let suite =
     ("cluster shape", `Quick, test_cluster_shape);
     ("bonded switches", `Quick, test_bonded_cluster_has_parallel_switches);
     ("determinism", `Quick, test_determinism_same_run_same_numbers);
+    ("measure rejects non-positive counts", `Quick,
+     test_measure_rejects_non_positive_counts);
     ("stream conservation", `Quick, test_stream_conserves_messages);
     ("latency vs size", `Quick, test_pingpong_latency_increases_with_size);
     ("all-to-all", `Quick, test_all_to_all_traffic);

@@ -478,10 +478,7 @@ let test_merged_length () =
 (* ------------------------------------------------------------------ *)
 (* Recorded-scenario exporters. *)
 
-let record name =
-  match Check.Scenario.find name with
-  | Some sc -> fst (Obs.Recorder.record sc)
-  | None -> Alcotest.failf "scenario %S not registered" name
+let record name = fst (Obs.Recorder.record (Check.Scenario.find name))
 
 (* The cheap end of the registry; the CI workflow sweeps all fourteen. *)
 let quick_scenarios = [ "fig7"; "ext2"; "ext3"; "ext4"; "chaos" ]

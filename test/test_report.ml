@@ -99,10 +99,12 @@ let test_paper_reference_values () =
    > Report.Paper.half_bandwidth_size_clic)
 
 let test_figures_run_rejects_unknown () =
-  let null_fmt = Format.make_formatter (fun _ _ _ -> ()) (fun () -> ()) in
+  let known = List.map (fun e -> e.Check.Experiment.id) Check.Experiment.all in
   Alcotest.check_raises "unknown id"
-    (Invalid_argument "Figures.run: unknown id \"nope\"") (fun () ->
-      Report.Figures.run "nope" null_fmt)
+    (Invalid_argument
+       (Printf.sprintf "unknown experiment \"nope\" (known: %s)"
+          (String.concat ", " known)))
+    (fun () -> ignore (Check.Experiment.find "nope"))
 
 let test_fig5_quick_invariants () =
   let null_fmt = Format.make_formatter (fun _ _ _ -> ()) (fun () -> ()) in
@@ -124,149 +126,27 @@ let test_fig5_quick_invariants () =
         [ clic9000; clic1500; tcp9000; tcp1500 ]
   | _ -> Alcotest.fail "unexpected fig5 shape"
 
-(* The PR-5 acceptance contract: under the same N->1 stampede, the
-   tail-drop fabric must visibly collapse (frames lost at BOTH the bounded
-   uplinks and the egress FIFOs, recovered by retransmission), while the
-   802.3x fabric — provisioned per [Switch.protected_provisioning] — must
-   not lose a single frame at the switch.  Both must still deliver
-   everything: CLIC's reliability is the safety net, PAUSE is the
-   performance story. *)
+(* The acceptance contracts of the congestion panels hold on their quick
+   runs; the rules themselves live in [Check.Experiment] and are unit
+   tested against hand-built results in test_check.ml. *)
+let contract_holds contract result =
+  Alcotest.(check (list string))
+    "no contract violations" []
+    (List.map Check.Violation.to_string (contract result))
+
+let null_fmt = Format.make_formatter (fun _ _ _ -> ()) (fun () -> ())
+
 let test_incast_acceptance () =
-  let null_fmt = Format.make_formatter (fun _ _ _ -> ()) (fun () -> ()) in
-  let rows, gather = Report.Figures.incast ~quick:true null_fmt in
-  let find prefix =
-    match
-      List.find_opt
-        (fun r ->
-          String.length r.Report.Figures.in_name >= String.length prefix
-          && String.sub r.Report.Figures.in_name 0 (String.length prefix)
-             = prefix)
-        rows
-    with
-    | Some r -> r
-    | None -> Alcotest.failf "no %S row in incast output" prefix
-  in
-  let base = find "tail-drop" and fc = find "802.3x" in
-  let open Report.Figures in
-  (* reliability: nothing is allowed to go missing end to end *)
-  check_int "baseline delivers everything" base.in_sent base.in_delivered;
-  check_int "pause delivers everything" fc.in_sent fc.in_delivered;
-  check_bool "workload is non-trivial" true (base.in_sent >= 40);
-  (* the collapse: the baseline loses frames on both sides of the switch *)
-  check_bool "baseline drops at bounded uplinks" true
-    (base.in_ingress_drops > 0);
-  check_bool "baseline drops at egress FIFOs" true (base.in_egress_drops > 0);
-  check_bool "baseline pays in retransmissions" true (base.in_retx > 0);
-  (* the protection: zero switch loss, and the signalling really fired *)
-  check_int "pause fabric loses nothing at ingress" 0 fc.in_ingress_drops;
-  check_int "pause fabric loses nothing at egress" 0 fc.in_egress_drops;
-  check_bool "switch generated PAUSE frames" true (fc.in_pause_tx > 0);
-  check_bool "senders actually spent time XOFFed" true
-    (fc.in_tx_paused_us > 0.);
-  check_bool "shared buffer was exercised" true (fc.in_peak_buffer > 0);
-  (* The gather sees the same contrast on the loss side.  (The quick
-     gather is light enough that the PAUSE arm may finish without any
-     XOFF, so only the zero-loss half of the contract is asserted.) *)
-  (match gather with
-  | [ (_, _, _, base_drops, _, _); (_, _, _, fc_drops, _, _) ] ->
-      check_bool "gather: tail-drop loses frames" true (base_drops > 0);
-      check_int "gather: pause fabric loses nothing" 0 fc_drops
-  | l -> Alcotest.failf "unexpected gather shape (%d rows)" (List.length l))
+  contract_holds Check.Experiment.incast_contract
+    (Report.Figures.incast ~quick:true null_fmt)
 
-(* The PR-8 acceptance contract: the same cross-rack stampede through an
-   oversubscribed spine must collapse under tail-drop yet stay lossless
-   under 802.3x, with the congestion tree visibly forming hop by hop
-   (spine XOFFs ToRs, ToRs XOFF senders); and when a spine dies under
-   ECMP load, the survivor must carry everything to completion. *)
 let test_fabric_acceptance () =
-  let null_fmt = Format.make_formatter (fun _ _ _ -> ()) (fun () -> ()) in
-  let rows, reroute = Report.Figures.fabric ~quick:true null_fmt in
-  let find prefix =
-    match
-      List.find_opt
-        (fun r ->
-          String.length r.Report.Figures.fb_name >= String.length prefix
-          && String.sub r.Report.Figures.fb_name 0 (String.length prefix)
-             = prefix)
-        rows
-    with
-    | Some r -> r
-    | None -> Alcotest.failf "no %S row in fabric output" prefix
-  in
-  let base = find "tail-drop" and fc = find "802.3x" in
-  let open Report.Figures in
-  check_int "baseline delivers everything" base.fb_sent base.fb_delivered;
-  check_int "pause delivers everything" fc.fb_sent fc.fb_delivered;
-  check_bool "workload is non-trivial" true (base.fb_sent >= 40);
-  (* the collapse through the oversubscribed uplink *)
-  check_bool "tail-drop loses frames in the fabric" true (base.fb_drops > 0);
-  check_bool "tail-drop pays in retransmissions" true (base.fb_retx > 0);
-  (* the congestion tree: both hops of PAUSE fired, and losslessly *)
-  check_int "pause fabric loses nothing" 0 fc.fb_drops;
-  check_bool "spine XOFFed the ToRs" true (fc.fb_spine_pause > 0);
-  check_bool "ToRs XOFFed the senders" true (fc.fb_tor_pause > 0);
-  check_bool "senders sat XOFFed" true (fc.fb_paused_us > 0.);
-  check_bool "shared buffers were exercised" true (fc.fb_peak_buf > 0);
-  (* spine failure under ECMP: the survivor carries the rest *)
-  check_int "reroute delivers everything" reroute.rr_sent
-    reroute.rr_delivered;
-  check_bool "traffic had used the doomed spine" true
-    (reroute.rr_spine0_tx > 0);
-  check_bool "the survivor carried the load" true (reroute.rr_spine1_tx > 0);
-  check_bool "survivor outcarried the corpse" true
-    (reroute.rr_spine1_tx > reroute.rr_spine0_tx)
+  contract_holds Check.Experiment.fabric_contract
+    (Report.Figures.fabric ~quick:true null_fmt)
 
-(* The PR-9 acceptance contract: the congestion matrix must show every
-   regime delivering everything; the ECN/DCTCP cells must stay lossless at
-   the switch without a single PAUSE frame while really marking CE and
-   really echoing it; and under the same-seed bursty loss run, SACK must
-   retransmit strictly fewer bytes than go-back-N, with the savings
-   accounted segment by segment. *)
 let test_congestion_acceptance () =
-  let null_fmt = Format.make_formatter (fun _ _ _ -> ()) (fun () -> ()) in
-  let cells, bursty = Report.Figures.congestion_matrix ~quick:true null_fmt in
-  let open Report.Figures in
-  check_int "full matrix" 12 (List.length cells);
-  List.iter
-    (fun c ->
-      let cell =
-        Printf.sprintf "%s/%s/%s" c.cg_regime c.cg_topo c.cg_scheme
-      in
-      check_int (cell ^ " delivers everything") c.cg_sent c.cg_delivered;
-      match c.cg_regime with
-      | "ecn" ->
-          check_int (cell ^ " loses nothing at the switch") 0
-            c.cg_switch_drops;
-          check_int (cell ^ " emits no PAUSE frames") 0 c.cg_pause_tx;
-          check_bool (cell ^ " really marks CE") true (c.cg_ecn_marks > 0);
-          check_bool (cell ^ " echoes reach the senders") true
-            (c.cg_ce_echoes > 0)
-      | "pause" ->
-          check_int (cell ^ " loses nothing at the switch") 0
-            c.cg_switch_drops;
-          check_int (cell ^ " never marks CE") 0 c.cg_ecn_marks
-      | _ ->
-          (* the tail-drop baseline is where the contrast comes from *)
-          check_int (cell ^ " never marks CE") 0 c.cg_ecn_marks)
-    cells;
-  (* the baseline must actually collapse somewhere, or the matrix shows
-     three regimes surviving a non-event *)
-  check_bool "tail-drop loses frames somewhere" true
-    (List.exists
-       (fun c -> c.cg_regime = "tail-drop" && c.cg_switch_drops > 0)
-       cells);
-  match
-    ( List.find_opt (fun r -> r.bu_scheme = "gbn") bursty,
-      List.find_opt (fun r -> r.bu_scheme = "sack") bursty )
-  with
-  | Some gbn, Some sack ->
-      check_bool "bursty weather forced timeouts" true (gbn.bu_timeouts > 0);
-      check_bool "sack retransmits fewer bytes than go-back-N" true
-        (sack.bu_retx_bytes < gbn.bu_retx_bytes);
-      check_bool "sack really sacked segments" true (sack.bu_sacked > 0);
-      check_bool "savings accounted" true (sack.bu_retx_bytes_saved > 0);
-      check_int "go-back-N never sacks" 0 gbn.bu_sacked
-  | _ -> Alcotest.fail "bursty panel missing a scheme row"
+  contract_holds Check.Experiment.congestion_contract
+    (Report.Figures.congestion_matrix ~quick:true null_fmt)
 
 let suite =
   [
