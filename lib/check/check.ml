@@ -50,72 +50,17 @@ let render (sc : Scenario.t) =
   Format.pp_print_flush fmt ();
   Buffer.contents buf
 
-(* One probed run; installs [sink], restores probe/tie-break state after.
-   Returns the rendered output, or the crash violation. *)
-let probed_run ?tie_break (sc : Scenario.t) sink =
-  Probe.install sink;
+(* Runs the scenario once with every pass attached: the passes' findings
+   and rendered output ([result]), and the run's logical trace. *)
+let one_run ?tie_break (sc : Scenario.t) =
+  let trace = Determinism.create () in
   Sim.set_default_tie_break tie_break;
-  Fun.protect
-    ~finally:(fun () ->
-      Probe.uninstall ();
-      Sim.set_default_tie_break None)
-    (fun () -> match render sc with s -> Ok s | exception e -> Error e)
-
-type run_result = {
-  r_violations : Violation.t list;  (* lifecycle + invariants + crash *)
-  r_notes : string list;
-  r_trace : Determinism.t;
-  r_hash : string;
-  r_output : string;
-  r_crashed : bool;
-}
-
-(* Runs the scenario once with every pass attached. *)
-let one_run ?tie_break (sc : Scenario.t) : run_result =
-  let lifecycle = Lifecycle.create ~leak_check:(not sc.truncated) () in
-  let monitors = Invariants.create_all () in
-  let hash = Determinism.create () in
-  let now = ref 0 in
-  let found = ref [] in
-  let sink ev =
-    (match ev with
-    | Probe.Clock { now = n } -> now := n
-    | Probe.Sim_start -> now := 0
-    | _ -> ());
-    Lifecycle.on_event lifecycle ev;
-    List.iter
-      (fun (m : Invariants.monitor) ->
-        match m.on_event ~now:!now ev with
-        | Some detail ->
-            found :=
-              Violation.make
-                ~pass:("invariant:" ^ m.name)
-                ~rule:m.name ~time_ns:!now detail
-              :: !found
-        | None -> ())
-      monitors;
-    Determinism.on_event hash ev
+  let r =
+    Passes.run ~leak_check:(not sc.truncated)
+      ~also:(Determinism.on_event trace) (fun () -> render sc)
   in
-  let outcome = probed_run ?tie_break sc sink in
-  let output, crash =
-    match outcome with
-    | Ok out -> (out, [])
-    | Error e ->
-        ( "",
-          [
-            Violation.make ~pass:"crash" ~rule:"uncaught-exception"
-              ~time_ns:!now
-              (Printexc.to_string e);
-          ] )
-  in
-  {
-    r_violations = Lifecycle.finish lifecycle @ List.rev !found @ crash;
-    r_notes = Lifecycle.notes lifecycle;
-    r_trace = hash;
-    r_hash = Determinism.result hash;
-    r_output = output;
-    r_crashed = crash <> [];
-  }
+  Sim.set_default_tie_break None;
+  (r, trace)
 
 let seed_of_index i = 0x5EED0 + (i * 7919)
 
@@ -123,33 +68,35 @@ let retag_seed seed (v : Violation.t) =
   { v with Violation.detail = Printf.sprintf "under seed %d: %s" seed v.detail }
 
 let run_scenario ?(seeds = 3) (sc : Scenario.t) : report =
-  let baseline = one_run sc in
+  let baseline, base_trace = one_run sc in
+  let base_hash = Determinism.result base_trace in
   (* Seeded re-runs only make sense against a baseline that finished. *)
   let violations, notes, runs =
-    if baseline.r_crashed then (baseline.r_violations, baseline.r_notes, 1)
+    if baseline.result = None then (baseline.violations, baseline.notes, 1)
     else
       let rec go i vs ns runs =
         if i > seeds then (vs, ns, runs)
         else
           let seed = seed_of_index i in
-          let r = one_run ~tie_break:seed sc in
-          let vs = vs @ List.map (retag_seed seed) r.r_violations in
+          let r, trace = one_run ~tie_break:seed sc in
+          let hash = Determinism.result trace in
+          let vs = vs @ List.map (retag_seed seed) r.violations in
           (* For runs truncated by a wall-clock bound, per-stream progress
              at the cut legitimately depends on timing: compare the common
              prefix of each stream instead of the full trace. *)
           let diverged_stream =
             if sc.truncated then
-              match Determinism.prefix_divergence baseline.r_trace r.r_trace with
+              match Determinism.prefix_divergence base_trace trace with
               | Some key -> Some (Printf.sprintf "stream %S diverges" key)
               | None -> None
-            else if r.r_hash <> baseline.r_hash then
+            else if hash <> base_hash then
               Some
-                (Printf.sprintf "trace hash %s differs from baseline %s"
-                   r.r_hash baseline.r_hash)
+                (Printf.sprintf "trace hash %s differs from baseline %s" hash
+                   base_hash)
             else None
           in
           let vs, ns =
-            if r.r_crashed then (vs, ns)
+            if r.result = None then (vs, ns)
             else
               match diverged_stream with
               | Some what ->
@@ -159,13 +106,13 @@ let run_scenario ?(seeds = 3) (sc : Scenario.t) : report =
                           ~rule:"trace-divergence" ~time_ns:0
                           (Printf.sprintf
                              "seed %d: %s (rendered results %s)" seed what
-                             (if r.r_output = baseline.r_output then
+                             (if r.result = baseline.result then
                                 "identical"
                               else "also differ"));
                       ],
                     ns )
               | None ->
-                  if r.r_output <> baseline.r_output then
+                  if r.result <> baseline.result then
                     ( vs,
                       ns
                       @ [
@@ -181,14 +128,14 @@ let run_scenario ?(seeds = 3) (sc : Scenario.t) : report =
           in
           go (i + 1) vs ns (runs + 1)
       in
-      go 1 baseline.r_violations baseline.r_notes 1
+      go 1 baseline.violations baseline.notes 1
   in
   {
     scenario = sc.name;
     violations = List.sort Violation.by_time violations;
     notes;
-    baseline_hash = baseline.r_hash;
-    output = baseline.r_output;
+    baseline_hash = base_hash;
+    output = Option.value baseline.result ~default:"";
     runs;
   }
 

@@ -19,11 +19,18 @@ open Engine
 
 let max_history = 8
 
+(* One backtrace step, kept raw: the text is only built when a finding
+   renders the backtrace. *)
+type step =
+  | Alloc of { at : int; where : string; owner : Probe.owner }
+  | Transfer of { at : int; where : string; owner : Probe.owner }
+  | Free of { at : int; where : string }
+
 type obj_state = {
   o_bytes : int;
   mutable o_live : bool;
   mutable o_owner : Probe.owner;
-  mutable o_history : (int * string) list;  (* newest first *)
+  mutable o_history : step list;  (* newest first *)
   mutable o_hist_len : int;
 }
 
@@ -36,10 +43,12 @@ type pool_state = {
 type t = {
   leak_check : bool;
   objs : (Probe.obj_kind * int, obj_state) Hashtbl.t;
+      (* freed entries stay, so a use-after-free still has its backtrace *)
   pools : (string, pool_state) Hashtbl.t;
   high_water : (string, int) Hashtbl.t;  (* survives Sim_start resets *)
   mutable now : int;
   mutable violations : Violation.t list;
+  mutable live : int;  (* entries of [objs] with [o_live] set *)
   mutable live_peak : int;
 }
 
@@ -51,18 +60,26 @@ let create ~leak_check () =
     high_water = Hashtbl.create 8;
     now = 0;
     violations = [];
+    live = 0;
     live_peak = 0;
   }
 
 let obj_name kind id = Printf.sprintf "%s#%d" (Probe.kind_name kind) id
 
-let backtrace st =
-  st.o_history |> List.rev
-  |> List.map (fun (t, what) -> Printf.sprintf "t=%dns %s" t what)
-  |> String.concat "; "
+let step_text = function
+  | Alloc { at; where; owner } ->
+      Printf.sprintf "t=%dns alloc at %s (owner %s)" at where
+        (Probe.owner_name owner)
+  | Transfer { at; where; owner } ->
+      Printf.sprintf "t=%dns transfer to %s at %s" at
+        (Probe.owner_name owner) where
+  | Free { at; where } -> Printf.sprintf "t=%dns free at %s" at where
 
-let note st t what =
-  st.o_history <- (t.now, what) :: st.o_history;
+let backtrace st =
+  st.o_history |> List.rev |> List.map step_text |> String.concat "; "
+
+let note st step =
+  st.o_history <- step :: st.o_history;
   st.o_hist_len <- st.o_hist_len + 1;
   if st.o_hist_len > max_history then begin
     (* keep the allocation record (oldest entry) and the newest ones *)
@@ -99,10 +116,8 @@ let flush_boundary t =
       t.pools
   end;
   Hashtbl.reset t.objs;
-  Hashtbl.reset t.pools
-
-let live_count t =
-  Hashtbl.fold (fun _ st n -> if st.o_live then n + 1 else n) t.objs 0
+  Hashtbl.reset t.pools;
+  t.live <- 0
 
 let on_event t (ev : Probe.event) =
   match ev with
@@ -122,22 +137,18 @@ let on_event t (ev : Probe.event) =
               o_bytes = bytes;
               o_live = true;
               o_owner = owner;
-              o_history = [];
-              o_hist_len = 0;
+              o_history = [ Alloc { at = t.now; where; owner } ];
+              o_hist_len = 1;
             }
           in
-          note st t
-            (Printf.sprintf "alloc at %s (owner %s)" where
-               (Probe.owner_name owner));
           Hashtbl.replace t.objs (kind, id) st;
-          t.live_peak <- max t.live_peak (live_count t))
+          t.live <- t.live + 1;
+          if t.live > t.live_peak then t.live_peak <- t.live)
   | Probe.Obj_transfer { kind; id; owner; where } -> (
       match Hashtbl.find_opt t.objs (kind, id) with
       | Some st when st.o_live ->
           st.o_owner <- owner;
-          note st t
-            (Printf.sprintf "transfer to %s at %s" (Probe.owner_name owner)
-               where)
+          note st (Transfer { at = t.now; where; owner })
       | Some st ->
           violation t ~rule:"use-after-free"
             (Printf.sprintf "%s transferred to %s at %s after free; %s"
@@ -151,7 +162,8 @@ let on_event t (ev : Probe.event) =
       match Hashtbl.find_opt t.objs (kind, id) with
       | Some st when st.o_live ->
           st.o_live <- false;
-          note st t (Printf.sprintf "free at %s" where)
+          t.live <- t.live - 1;
+          note st (Free { at = t.now; where })
       | Some st ->
           violation t ~rule:"double-free"
             (Printf.sprintf "%s freed again at %s; %s" (obj_name kind id)

@@ -562,46 +562,12 @@ let ok ?(require_evidence = true) r =
    invariant monitor (the determinism pass needs repeated runs and is the
    `check` command's job; the soak's axis is schedule breadth). *)
 let run_trial (tp : template) ~quick ~seed ev =
-  let lifecycle = Lifecycle.create ~leak_check:true () in
-  let monitors = Invariants.create_all () in
-  let now = ref 0 in
-  let found = ref [] in
-  let sink event =
-    (match event with
-    | Probe.Clock { now = n } -> now := n
-    | Probe.Sim_start -> now := 0
-    | _ -> ());
-    Lifecycle.on_event lifecycle event;
-    List.iter
-      (fun (m : Invariants.monitor) ->
-        match m.on_event ~now:!now event with
-        | Some detail ->
-            found :=
-              Violation.make
-                ~pass:("invariant:" ^ m.name)
-                ~rule:m.name ~time_ns:!now detail
-              :: !found
-        | None -> ())
-      monitors;
-  in
-  Probe.install sink;
-  let outcome =
-    Fun.protect
-      ~finally:(fun () -> Probe.uninstall ())
-      (fun () ->
-        match tp.tp_run ~quick ~seed ev with
-        | () -> None
-        | exception e ->
-            Some
-              (Violation.make ~pass:"crash" ~rule:"uncaught-exception"
-                 ~time_ns:!now (Printexc.to_string e)))
-  in
-  let crash = Option.to_list outcome in
+  let r = Passes.run ~leak_check:true (fun () -> tp.tp_run ~quick ~seed ev) in
   {
     tr_template = tp.tp_name;
     tr_seed = seed;
-    tr_violations = Lifecycle.finish lifecycle @ List.rev !found @ crash;
-    tr_crashed = crash <> [];
+    tr_violations = r.violations;
+    tr_crashed = r.result = None;
   }
 
 let default_seeds = [ 101; 202; 303 ]

@@ -88,6 +88,67 @@ let test_lifecycle_clean () =
     "balanced lifecycle is clean" []
     (lifecycle_rules [ alloc 4; transfer 4; free 4 ])
 
+(* The live-object counter: a freed id allocated again counts once more,
+   and a simulation boundary starts the count from zero. *)
+let test_lifecycle_peak_live () =
+  let l = Check.Lifecycle.create ~leak_check:false () in
+  List.iter
+    (Check.Lifecycle.on_event l)
+    ([ alloc 1; alloc 2; free 1; alloc 1; alloc 3; free 2; Probe.Sim_start ]
+    @ List.map alloc [ 4; 5; 6; 7 ]);
+  ignore (Check.Lifecycle.finish l);
+  Alcotest.(check (list string))
+    "peak after Sim_start" [ "peak live objects 4" ]
+    (Check.Lifecycle.notes l)
+
+let lifecycle_details evs =
+  let l = Check.Lifecycle.create ~leak_check:false () in
+  List.iter (Check.Lifecycle.on_event l) evs;
+  List.map (fun v -> v.Check.Violation.detail) (Check.Lifecycle.finish l)
+
+let at now ev = [ Probe.Clock { now }; ev ]
+
+let step now ev where =
+  at now
+    (match ev with
+    | `Alloc ->
+        Probe.Obj_alloc
+          { kind = Probe.Skb; id = 9; bytes = 64; owner = Probe.App; where }
+    | `Transfer ->
+        Probe.Obj_transfer
+          { kind = Probe.Skb; id = 9; owner = Probe.Driver; where }
+    | `Free -> Probe.Obj_free { kind = Probe.Skb; id = 9; where })
+
+let test_lifecycle_detail_text () =
+  Alcotest.(check (list string))
+    "double-free detail"
+    [
+      "skbuff#9 freed again at d; t=10ns alloc at a (owner app); t=20ns \
+       transfer to driver at b; t=30ns free at c";
+    ]
+    (lifecycle_details
+       (step 10 `Alloc "a" @ step 20 `Transfer "b" @ step 30 `Free "c"
+      @ step 40 `Free "d"));
+  (* ten transfers overflow the 8-entry history: the allocation record
+     stays, the oldest transfers go *)
+  let transfers =
+    List.concat_map
+      (fun i -> step (100 * i) `Transfer (Printf.sprintf "x%d" i))
+      (List.init 10 (fun i -> i + 1))
+  in
+  Alcotest.(check (list string))
+    "use-after-free detail, trimmed history"
+    [
+      "skbuff#9 transferred to driver at late after free; t=0ns alloc at a \
+       (owner app); t=500ns transfer to driver at x5; t=600ns transfer to \
+       driver at x6; t=700ns transfer to driver at x7; t=800ns transfer to \
+       driver at x8; t=900ns transfer to driver at x9; t=1000ns transfer to \
+       driver at x10; t=1100ns free at f";
+    ]
+    (lifecycle_details
+       (step 0 `Alloc "a" @ transfers @ step 1100 `Free "f"
+      @ step 1200 `Transfer "late"))
+
 (* The same double-free caught through the real instrumentation: a probe
    sink sees Os.Skbuff.release called twice on a real buffer. *)
 let test_skbuff_double_free_probed () =
@@ -136,6 +197,24 @@ let test_invariant_msg_once () =
     (monitor_hits [ msg 5; msg 5 ]);
   Alcotest.(check (list string)) "distinct ids clean" []
     (monitor_hits [ msg 5; msg 6 ])
+
+(* A retransmit of a sequence number under a standing SACK block is
+   waste; once the cumulative ack passes it, the block is retired. *)
+let test_invariant_sack_no_spurious_retx () =
+  let sack = Probe.Sack_rx { chan = 1; node = 0; peer = 1; blocks = [ (5, 8) ] } in
+  let una snd_una = Probe.Snd_una { chan = 1; node = 0; peer = 1; snd_una } in
+  let retx seq = Probe.Chan_retx { chan = 1; node = 0; peer = 1; seq } in
+  Alcotest.(check (list string))
+    "retransmit under a standing block caught" [ "sack-no-spurious-retx" ]
+    (monitor_hits [ sack; retx 6 ]);
+  Alcotest.(check (list string))
+    "block partly retired: the rest still stands" [ "sack-no-spurious-retx" ]
+    (monitor_hits [ sack; una 6; retx 7 ]);
+  Alcotest.(check (list string))
+    "retired by the cumulative ack: clean" []
+    (monitor_hits [ sack; una 8; retx 6; retx 7 ]);
+  Alcotest.(check (list string))
+    "uncovered hole: clean" [] (monitor_hits [ sack; retx 4 ])
 
 let test_invariant_ack_monotone () =
   let ack c = Probe.Ack_tx { chan = 1; node = 0; peer = 1; cum_seq = c } in
@@ -918,6 +997,12 @@ let suite =
       test_lifecycle_pool_leak;
     Alcotest.test_case "lifecycle: balanced run is clean" `Quick
       test_lifecycle_clean;
+    Alcotest.test_case "lifecycle: peak live objects across Sim_start" `Quick
+      test_lifecycle_peak_live;
+    Alcotest.test_case "lifecycle: violation detail text" `Quick
+      test_lifecycle_detail_text;
+    Alcotest.test_case "invariants: sack no spurious retransmit" `Quick
+      test_invariant_sack_no_spurious_retx;
     Alcotest.test_case "lifecycle: real skbuff double free" `Quick
       test_skbuff_double_free_probed;
     Alcotest.test_case "invariants: duplicate/gap delivery" `Quick

@@ -707,6 +707,118 @@ let test_tab1_golden_numbers () =
   in_band "half-bandwidth message size, CLIC (B)" 5347.6 6536.0;
   in_band "half-bandwidth message size, TCP (B)" 7534.5 9208.9
 
+(* The exporters' CI goldens, checked in-suite byte for byte. *)
+let read_file path =
+  let ic = open_in_bin path in
+  Fun.protect ~finally:(fun () -> close_in ic) (fun () ->
+      really_input_string ic (in_channel_length ic))
+
+let test_fig7_goldens () =
+  let rec_ = record "fig7" in
+  check_bool "timeline equals golden/fig7.timeline.json" true
+    (String.equal (Obs.Timeline.export rec_)
+       (read_file "golden/fig7.timeline.json"));
+  check_bool "metrics CSV equals golden/fig7.metrics.csv" true
+    (String.equal
+       (Obs.Metrics.to_csv (Obs.Metrics.build rec_))
+       (read_file "golden/fig7.metrics.csv"))
+
+(* The JSON string escaping the exporter used to apply to every string,
+   kept here as the reference for its escape-only-when-needed writer. *)
+let reference_escape s =
+  let buf = Buffer.create 16 in
+  String.iter
+    (fun c ->
+      match c with
+      | '"' -> Buffer.add_string buf "\\\""
+      | '\\' -> Buffer.add_string buf "\\\\"
+      | '\n' -> Buffer.add_string buf "\\n"
+      | c when Char.code c < 0x20 ->
+          Buffer.add_string buf (Printf.sprintf "\\u%04x" (Char.code c))
+      | c -> Buffer.add_char buf c)
+    s;
+  Buffer.contents buf
+
+let synthetic_timeline evs =
+  let r = Obs.Recorder.create () in
+  List.iter (Obs.Recorder.on_event r) (Probe.Sim_start :: evs);
+  Obs.Timeline.export r
+
+let span ?(host = "cpu0") label start finish =
+  Probe.Span { host; track = Probe.Process; label; start; finish }
+
+let contains haystack needle =
+  let nh = String.length haystack and nn = String.length needle in
+  let rec go i =
+    i + nn <= nh && (String.sub haystack i nn = needle || go (i + 1))
+  in
+  go 0
+
+let test_timeline_escaping () =
+  List.iter
+    (fun label ->
+      let json = synthetic_timeline [ span label 0 1 ] in
+      check_bool
+        (Printf.sprintf "label %S escaped as before" label)
+        true
+        (contains json
+           (Printf.sprintf "{\"name\":\"%s\",\"cat\":\"process\""
+              (reference_escape label)));
+      match Json_check.validate json with
+      | () -> ()
+      | exception Json_check.Bad msg -> Alcotest.failf "%S: %s" label msg)
+    [ "plain"; "q\"uote"; "back\\slash"; "new\nline"; "ctl\x01"; "a\"\\\n\x01z" ]
+
+let test_timeline_ts_digits () =
+  List.iter
+    (fun ns ->
+      let json = synthetic_timeline [ span "s" ns (2 * ns) ] in
+      let us = Printf.sprintf "%.3f" (float_of_int ns /. 1000.) in
+      check_bool
+        (Printf.sprintf "ts/dur of %dns render as %s" ns us)
+        true
+        (contains json (Printf.sprintf "\"ts\":%s,\"dur\":%s}" us us)))
+    [ 0; 1; 999; 1000; 123456789; 1 lsl 40 ]
+
+(* The "s"/"f" ids of every flow arrow in an export, in order. *)
+let flow_ids json ph =
+  let marker = Printf.sprintf "\"cat\":\"flow\",\"ph\":\"%s\",\"id\":" ph in
+  let n = String.length json and m = String.length marker in
+  let rec go i acc =
+    if i + m > n then List.rev acc
+    else if String.sub json i m = marker then begin
+      let j = ref (i + m) in
+      while json.[!j] >= '0' && json.[!j] <= '9' do incr j done;
+      go !j (int_of_string (String.sub json (i + m) (!j - i - m)) :: acc)
+    end
+    else go (i + 1) acc
+  in
+  go 0 []
+
+(* fig7 runs two simulations whose senders both count msg ids from 0:
+   each arrow must still join exactly one send to at most one delivery. *)
+let test_timeline_flow_ids_unique () =
+  let json = Obs.Timeline.export (record "fig7") in
+  let sends = flow_ids json "s" and delivers = flow_ids json "f" in
+  check_bool "fig7 has flow arrows" true (List.length sends > 1);
+  let unique l = List.length (List.sort_uniq compare l) = List.length l in
+  check_bool "send ids unique" true (unique sends);
+  check_bool "delivery ids unique" true (unique delivers);
+  check_bool "every delivery closes a send" true
+    (List.for_all (fun id -> List.mem id sends) delivers);
+  (* a rebooted sender restarts its ids: the epoch keeps them apart *)
+  let msg epoch =
+    [
+      Probe.Msg_send
+        { node = 1; dst = 0; port = 0; msg_id = 0; bytes = 1; epoch };
+      Probe.Msg_deliver { node = 0; src = 1; port = 0; msg_id = 0; epoch };
+    ]
+  in
+  let json = synthetic_timeline (msg 0 @ msg 1) in
+  Alcotest.(check (list int))
+    "epoch 0 keeps the plain id; epoch 1 differs" [ 1_000_000; 1_001_000_000 ]
+    (flow_ids json "s")
+
 let suite =
   [
     ("json checker sanity", `Quick, test_json_checker_itself);
@@ -721,6 +833,10 @@ let suite =
     ("merged_length", `Quick, test_merged_length);
     ("timeline JSON validity", `Quick, test_timeline_json_valid);
     ("timeline determinism", `Quick, test_timeline_deterministic);
+    ("fig7 exports equal the goldens", `Quick, test_fig7_goldens);
+    ("timeline string escaping", `Quick, test_timeline_escaping);
+    ("timeline ts/dur digits", `Quick, test_timeline_ts_digits);
+    ("timeline flow ids unique", `Quick, test_timeline_flow_ids_unique);
     ("metrics families + determinism", `Quick, test_metrics_families_and_determinism);
     ("metrics congestion families", `Slow, test_metrics_congestion_families);
     ("attribution reproduces fig7", `Quick, test_attribution_matches_fig7);
