@@ -26,100 +26,92 @@ open Os_model
 open Proto
 open Cluster
 
-type evidence = {
-  mutable ev_delivered : int;  (* messages reaching an application layer *)
-  mutable ev_pool_drops : int;  (* NIC ingress drops at the hard watermark *)
-  mutable ev_bad_fcs : int;  (* corrupted frames dropped by the MAC *)
-  mutable ev_poll_switches : int;  (* IRQ <-> polling mode transitions *)
-  mutable ev_polled : int;  (* packets processed by budgeted poll passes *)
-  mutable ev_crashes : int;
-  mutable ev_reestablished : int;  (* channels re-created after teardown *)
-  mutable ev_peer_reboots : int;  (* newer-epoch frames noticed by peers *)
-  mutable ev_stale_drops : int;  (* older-epoch frames rejected *)
-  mutable ev_retransmissions : int;
-  mutable ev_acks_deferred : int;  (* ack batching stretched under pressure *)
-  mutable ev_switch_drops : int;  (* frames lost inside a switch, both ends *)
-  mutable ev_pause_frames : int;  (* 802.3x PAUSE frames generated *)
-  mutable ev_tx_paused_ns : int;  (* time transmitters spent XOFFed *)
-  mutable ev_trunk_frames : int;  (* frames carried switch-to-switch *)
-  mutable ev_switch_failures : int;  (* switches failed mid-trial *)
-  mutable ev_ecn_marks : int;  (* frames CE-marked above the ECN threshold *)
-  mutable ev_sacked_segments : int;  (* segments covered by SACK blocks *)
-  mutable ev_open_loop : int;  (* open-loop requests answered under grayness *)
-  mutable ev_brownout_slowed : int;  (* frames delayed by link brownouts *)
-  mutable ev_nic_slow_ns : int;  (* service time added by fail-slow NICs *)
-  mutable ev_switch_stall_ns : int;  (* egress pump time lost to stalls *)
-}
+(* The evidence table, one row per counter in print order: the label, the
+   complaint reported when the full template set ran and the count is
+   still zero ([None]: shown but not demanded), and the count. *)
+type row = { label : string; demand : string option; mutable count : int }
+
+let evidence_rows =
+  [
+    ("messages delivered", Some "no message was delivered");
+    ( "hard-watermark ingress drops",
+      Some "pool hard watermark never dropped a frame" );
+    ("bad-FCS frames dropped", Some "no corrupted frame reached a MAC");
+    ("poll-mode switches", Some "driver never switched into polling mode");
+    ("packets via poll passes", Some "no packets were processed by poll passes");
+    ("node crashes", Some "no node crashed");
+    ("channels re-established", Some "no channel was re-established");
+    ( "peer reboots noticed (newer epoch)",
+      Some "no peer noticed a reboot (newer epoch)" );
+    ("stale-epoch frames rejected", None);
+    ("retransmissions", Some "nothing was ever retransmitted");
+    ("acks deferred under pressure", None);
+    ("switch drops (ingress + egress)", Some "no switch ever dropped a frame");
+    ("802.3x PAUSE frames generated", Some "no 802.3x PAUSE frame was generated");
+    ("tx time XOFFed (ns)", Some "no transmitter was ever XOFFed");
+    ("frames carried on trunks", Some "no frame ever crossed a trunk");
+    ("switches failed mid-trial", Some "no switch was ever failed mid-trial");
+    ("frames CE-marked (ECN)", Some "no frame was ever CE-marked");
+    ("segments covered by SACK blocks", Some "no segment was ever SACKed");
+    ( "open-loop requests answered (gray)",
+      Some "no open-loop request was ever answered" );
+    ( "frames slowed by link brownouts",
+      Some "no link brownout ever slowed a frame" );
+    ("NIC fail-slow service added (ns)", Some "no NIC ever served fail-slow");
+    ("egress pump time stalled (ns)", Some "no switch egress pump ever stalled");
+  ]
 
 let fresh_evidence () =
-  {
-    ev_delivered = 0;
-    ev_pool_drops = 0;
-    ev_bad_fcs = 0;
-    ev_poll_switches = 0;
-    ev_polled = 0;
-    ev_crashes = 0;
-    ev_reestablished = 0;
-    ev_peer_reboots = 0;
-    ev_stale_drops = 0;
-    ev_retransmissions = 0;
-    ev_acks_deferred = 0;
-    ev_switch_drops = 0;
-    ev_pause_frames = 0;
-    ev_tx_paused_ns = 0;
-    ev_trunk_frames = 0;
-    ev_switch_failures = 0;
-    ev_ecn_marks = 0;
-    ev_sacked_segments = 0;
-    ev_open_loop = 0;
-    ev_brownout_slowed = 0;
-    ev_nic_slow_ns = 0;
-    ev_switch_stall_ns = 0;
-  }
+  List.map (fun (label, demand) -> { label; demand; count = 0 }) evidence_rows
+
+let add ev label n =
+  match List.find_opt (fun r -> String.equal r.label label) ev with
+  | Some r -> r.count <- r.count + n
+  | None -> invalid_arg ("Soak: no evidence row " ^ label)
 
 (* Bank the counters of one node's *current boot*.  Called at the end of a
    trial for every node, and additionally just before [Node.reboot]
    replaces a crashed boot's objects. *)
 let bank_boot ev (node : Node.t) =
+  let add = add ev in
   List.iter
     (fun nic ->
-      ev.ev_pool_drops <- ev.ev_pool_drops + Nic.rx_dropped_mem nic;
-      ev.ev_bad_fcs <- ev.ev_bad_fcs + Nic.bad_fcs nic;
-      ev.ev_pause_frames <- ev.ev_pause_frames + Nic.pause_frames_tx nic;
-      ev.ev_tx_paused_ns <- ev.ev_tx_paused_ns + Nic.tx_paused_ns nic)
+      add "hard-watermark ingress drops" (Nic.rx_dropped_mem nic);
+      add "bad-FCS frames dropped" (Nic.bad_fcs nic);
+      add "802.3x PAUSE frames generated" (Nic.pause_frames_tx nic);
+      add "tx time XOFFed (ns)" (Nic.tx_paused_ns nic))
     node.Node.nics;
   List.iter
     (fun eth ->
       let driver = (Proto.Ethernet.env eth).Hostenv.driver in
-      ev.ev_poll_switches <- ev.ev_poll_switches + Driver.poll_mode_switches driver;
-      ev.ev_polled <- ev.ev_polled + Driver.polled_packets driver)
+      add "poll-mode switches" (Driver.poll_mode_switches driver);
+      add "packets via poll passes" (Driver.polled_packets driver))
     node.Node.eths;
   let m = Clic.Api.kernel node.Node.clic in
-  ev.ev_delivered <- ev.ev_delivered + Clic.Clic_module.messages_delivered m;
-  ev.ev_reestablished <- ev.ev_reestablished + Clic.Clic_module.reestablishments m;
-  ev.ev_peer_reboots <- ev.ev_peer_reboots + Clic.Clic_module.peer_reboots m;
-  ev.ev_stale_drops <- ev.ev_stale_drops + Clic.Clic_module.stale_epoch_drops m;
-  ev.ev_retransmissions <- ev.ev_retransmissions + Clic.Clic_module.retransmissions m;
-  ev.ev_acks_deferred <- ev.ev_acks_deferred + Clic.Clic_module.acks_deferred m;
-  ev.ev_sacked_segments <-
-    ev.ev_sacked_segments + Clic.Clic_module.sacked_segments m
+  add "messages delivered" (Clic.Clic_module.messages_delivered m);
+  add "channels re-established" (Clic.Clic_module.reestablishments m);
+  add "peer reboots noticed (newer epoch)" (Clic.Clic_module.peer_reboots m);
+  add "stale-epoch frames rejected" (Clic.Clic_module.stale_epoch_drops m);
+  add "retransmissions" (Clic.Clic_module.retransmissions m);
+  add "acks deferred under pressure" (Clic.Clic_module.acks_deferred m);
+  add "segments covered by SACK blocks" (Clic.Clic_module.sacked_segments m)
 
 let bank_final ev net =
+  let add = add ev in
   Array.iter
     (fun node ->
       bank_boot ev node;
-      ev.ev_crashes <- ev.ev_crashes + Node.crashes node)
+      add "node crashes" (Node.crashes node))
     net.Net.nodes;
   List.iter
     (fun sw ->
-      ev.ev_switch_drops <-
-        ev.ev_switch_drops + Switch.egress_drops sw + Switch.ingress_drops sw;
-      ev.ev_pause_frames <- ev.ev_pause_frames + Switch.pause_frames_tx sw;
-      ev.ev_ecn_marks <- ev.ev_ecn_marks + Switch.ecn_marked sw;
+      add "switch drops (ingress + egress)"
+        (Switch.egress_drops sw + Switch.ingress_drops sw);
+      add "802.3x PAUSE frames generated" (Switch.pause_frames_tx sw);
+      add "frames CE-marked (ECN)" (Switch.ecn_marked sw);
       List.iter
         (fun peer ->
-          ev.ev_trunk_frames <-
-            ev.ev_trunk_frames + Switch.trunk_tx_frames sw ~peer)
+          add "frames carried on trunks" (Switch.trunk_tx_frames sw ~peer))
         (Switch.trunks sw))
     net.Net.switches
 
@@ -155,7 +147,7 @@ let sender net ~rng ~from ~to_ ~count ~min_size ~max_size ~gap_us ~port =
 type template = {
   tp_name : string;
   tp_descr : string;
-  tp_run : quick:bool -> seed:int -> evidence -> unit;
+  tp_run : quick:bool -> seed:int -> row list -> unit;
 }
 
 let scale ~quick n = if quick then max 1 (n / 4) else n
@@ -348,7 +340,7 @@ let fabric_cut ~quick ~seed ev =
   Process.spawn net.Net.sim (fun () ->
       Process.delay (Time.us 700.);
       Net.fail_switch net "spine0.";
-      ev.ev_switch_failures <- ev.ev_switch_failures + 1;
+      add ev "switches failed mid-trial" 1;
       Process.delay (Time.us 900.);
       Net.restore_switch net "spine0.");
   let victim = Net.node net 3 in
@@ -442,19 +434,19 @@ let gray_soak ~quick ~seed ev =
     failwith
       (Printf.sprintf "gray-soak: %d open-loop request(s) stranded"
          slo.Workload.slo_stranded);
-  ev.ev_open_loop <- ev.ev_open_loop + slo.Workload.slo_completed;
+  add ev "open-loop requests answered (gray)" slo.Workload.slo_completed;
   List.iter
-    (fun f -> ev.ev_brownout_slowed <- ev.ev_brownout_slowed + Fault.slowed f)
+    (fun f -> add ev "frames slowed by link brownouts" (Fault.slowed f))
     !faults;
   Array.iter
     (fun node ->
       List.iter
-        (fun nic -> ev.ev_nic_slow_ns <- ev.ev_nic_slow_ns + Nic.slow_extra_ns nic)
+        (fun nic ->
+          add ev "NIC fail-slow service added (ns)" (Nic.slow_extra_ns nic))
         node.Node.nics)
     net.Net.nodes;
   List.iter
-    (fun sw ->
-      ev.ev_switch_stall_ns <- ev.ev_switch_stall_ns + Switch.egress_stall_ns sw)
+    (fun sw -> add ev "egress pump time stalled (ns)" (Switch.egress_stall_ns sw))
     net.Net.switches;
   bank_final ev net
 
@@ -514,7 +506,7 @@ type trial_result = {
 
 type report = {
   s_trials : trial_result list;
-  s_evidence : evidence;
+  s_evidence : row list;
   s_notes : string list;
   s_full_set : bool;
 }
@@ -522,36 +514,15 @@ type report = {
 let violations r = List.concat_map (fun t -> t.tr_violations) r.s_trials
 
 (* Evidence demands, checked only when the full template set ran: each
-   stress axis must actually have fired.  Returned as human-readable
-   complaints; an empty list means the soak soaked. *)
+   demanded stress axis must actually have fired.  Returned as
+   human-readable complaints in table order; an empty list means the soak
+   soaked. *)
 let missing_evidence r =
   if not r.s_full_set then []
   else
-  let ev = r.s_evidence in
-  let need what ok = if ok then None else Some what in
-  List.filter_map Fun.id
-    [
-      need "no message was delivered" (ev.ev_delivered > 0);
-      need "pool hard watermark never dropped a frame" (ev.ev_pool_drops > 0);
-      need "driver never switched into polling mode" (ev.ev_poll_switches > 0);
-      need "no packets were processed by poll passes" (ev.ev_polled > 0);
-      need "no node crashed" (ev.ev_crashes > 0);
-      need "no channel was re-established" (ev.ev_reestablished > 0);
-      need "no peer noticed a reboot (newer epoch)" (ev.ev_peer_reboots > 0);
-      need "no corrupted frame reached a MAC" (ev.ev_bad_fcs > 0);
-      need "nothing was ever retransmitted" (ev.ev_retransmissions > 0);
-      need "no switch ever dropped a frame" (ev.ev_switch_drops > 0);
-      need "no 802.3x PAUSE frame was generated" (ev.ev_pause_frames > 0);
-      need "no transmitter was ever XOFFed" (ev.ev_tx_paused_ns > 0);
-      need "no frame ever crossed a trunk" (ev.ev_trunk_frames > 0);
-      need "no switch was ever failed mid-trial" (ev.ev_switch_failures > 0);
-      need "no frame was ever CE-marked" (ev.ev_ecn_marks > 0);
-      need "no segment was ever SACKed" (ev.ev_sacked_segments > 0);
-      need "no open-loop request was ever answered" (ev.ev_open_loop > 0);
-      need "no link brownout ever slowed a frame" (ev.ev_brownout_slowed > 0);
-      need "no NIC ever served fail-slow" (ev.ev_nic_slow_ns > 0);
-      need "no switch egress pump ever stalled" (ev.ev_switch_stall_ns > 0);
-    ]
+    List.filter_map
+      (fun row -> if row.count > 0 then None else row.demand)
+      r.s_evidence
 
 let ok ?(require_evidence = true) r =
   violations r = []
@@ -612,7 +583,6 @@ let template_names = List.map (fun tp -> tp.tp_name) templates
 (* Rendering *)
 
 let pp_summary fmt r =
-  let ev = r.s_evidence in
   Format.fprintf fmt "%-14s %8s %6s@." "template" "seed" "result";
   List.iter
     (fun t ->
@@ -621,27 +591,7 @@ let pp_summary fmt r =
          else Printf.sprintf "%d!" (List.length t.tr_violations)))
     r.s_trials;
   Format.fprintf fmt "@.evidence over %d trial(s):@." (List.length r.s_trials);
-  let line label v = Format.fprintf fmt "  %-36s %d@." label v in
-  line "messages delivered" ev.ev_delivered;
-  line "hard-watermark ingress drops" ev.ev_pool_drops;
-  line "bad-FCS frames dropped" ev.ev_bad_fcs;
-  line "poll-mode switches" ev.ev_poll_switches;
-  line "packets via poll passes" ev.ev_polled;
-  line "node crashes" ev.ev_crashes;
-  line "channels re-established" ev.ev_reestablished;
-  line "peer reboots noticed (newer epoch)" ev.ev_peer_reboots;
-  line "stale-epoch frames rejected" ev.ev_stale_drops;
-  line "retransmissions" ev.ev_retransmissions;
-  line "acks deferred under pressure" ev.ev_acks_deferred;
-  line "switch drops (ingress + egress)" ev.ev_switch_drops;
-  line "802.3x PAUSE frames generated" ev.ev_pause_frames;
-  line "tx time XOFFed (ns)" ev.ev_tx_paused_ns;
-  line "frames carried on trunks" ev.ev_trunk_frames;
-  line "switches failed mid-trial" ev.ev_switch_failures;
-  line "frames CE-marked (ECN)" ev.ev_ecn_marks;
-  line "segments covered by SACK blocks" ev.ev_sacked_segments;
-  line "open-loop requests answered (gray)" ev.ev_open_loop;
-  line "frames slowed by link brownouts" ev.ev_brownout_slowed;
-  line "NIC fail-slow service added (ns)" ev.ev_nic_slow_ns;
-  line "egress pump time stalled (ns)" ev.ev_switch_stall_ns;
+  List.iter
+    (fun row -> Format.fprintf fmt "  %-36s %d@." row.label row.count)
+    r.s_evidence;
   List.iter (fun n -> Format.fprintf fmt "  note: %s@." n) r.s_notes

@@ -38,7 +38,6 @@ type t = {
   env : Hostenv.t;
   p : Params.t;
   epoch : int;  (* this kernel's boot epoch, stamped into every packet *)
-  trace : Trace.t option;
   eths : Ethernet.t array;
   mutable rr : int;
   channels : (int, Channel.t) Hashtbl.t;
@@ -53,7 +52,6 @@ type t = {
   mutable draining : bool;
   mutable shut_down : bool;
   (* statistics *)
-  mutable messages_sent : int;
   mutable messages_delivered : int;
   mutable packets_sent : int;
   mutable packets_staged : int;
@@ -71,15 +69,9 @@ let sim t = t.env.Hostenv.sim
 let membus t = t.env.Hostenv.membus
 let kmem t = t.env.Hostenv.kmem
 
-(* Stage work is reported to the node's [Trace] (when attached) for the
-   Figure 7 table and to [Probe] as a timeline span for the observability
-   layer. *)
+(* Stage work is reported to [Probe] as a span on this node's CPU: the
+   Figure 7 table and the observability layer both read it from there. *)
 let traced t ~track label f =
-  let f =
-    match t.trace with
-    | Some tr -> fun () -> Trace.run tr label f
-    | None -> f
-  in
   if !Probe.on then begin
     let start = Sim.now (sim t) in
     let v = f () in
@@ -500,7 +492,7 @@ let[@clic.atomic] rx t (desc : Nic.rx_desc) =
 (* ------------------------------------------------------------------ *)
 (* Construction *)
 
-let create env ?(params = Params.default) ?(epoch = 0) ?trace eths =
+let create env ?(params = Params.default) ?(epoch = 0) eths =
   if eths = [] then invalid_arg "Clic_module.create: no ethernet attachments";
   if epoch < 0 then invalid_arg "Clic_module.create: negative epoch";
   let params = Params.validate params in
@@ -509,7 +501,6 @@ let create env ?(params = Params.default) ?(epoch = 0) ?trace eths =
       env;
       p = params;
       epoch;
-      trace;
       eths = Array.of_list eths;
       rr = 0;
       channels = Hashtbl.create 8;
@@ -522,7 +513,6 @@ let create env ?(params = Params.default) ?(epoch = 0) ?trace eths =
       backlog = Queue.create ();
       draining = false;
       shut_down = false;
-      messages_sent = 0;
       messages_delivered = 0;
       packets_sent = 0;
       packets_staged = 0;
@@ -594,7 +584,6 @@ let local_delivery t ~port ~sync bytes ~sync_done =
 let send_message t ~dst ~port ?(sync = false) ?(sync_failed = fun _ -> ())
     bytes ~sync_done =
   if bytes < 0 then invalid_arg "Clic_module.send_message: negative size";
-  t.messages_sent <- t.messages_sent + 1;
   if dst = node t then local_delivery t ~port ~sync bytes ~sync_done
   else begin
     let msg_id = t.next_msg_id in
@@ -624,7 +613,6 @@ let send_message t ~dst ~port ?(sync = false) ?(sync_failed = fun _ -> ())
 
 let broadcast_message t ~port bytes =
   if bytes < 0 then invalid_arg "Clic_module.broadcast_message: negative size";
-  t.messages_sent <- t.messages_sent + 1;
   let msg_id = t.next_msg_id in
   t.next_msg_id <- t.next_msg_id + 1;
   List.iter
@@ -638,7 +626,6 @@ let broadcast_message t ~port bytes =
 
 let remote_write t ~dst ~region bytes =
   if bytes < 0 then invalid_arg "Clic_module.remote_write: negative size";
-  t.messages_sent <- t.messages_sent + 1;
   if dst = node t then begin
     t.local_msgs <- t.local_msgs + 1;
     Cpu.copy (cpu t) ~membus:(membus t) bytes;
@@ -712,7 +699,6 @@ let region_bytes t ~region =
   | Some (count, _) -> !count
   | None -> 0
 
-let messages_sent t = t.messages_sent
 let messages_delivered t = t.messages_delivered
 let packets_sent t = t.packets_sent
 let packets_staged t = t.packets_staged
@@ -745,8 +731,5 @@ let retx_bytes_saved t =
 
 let ce_echoes t =
   Hashtbl.fold (fun _ c acc -> acc + Channel.ce_echoes c) t.channels 0
-
-let ce_marks_rx t =
-  Hashtbl.fold (fun _ c acc -> acc + Channel.ce_marks_rx c) t.channels 0
 
 let channel_to t ~peer = Hashtbl.find_opt t.channels peer

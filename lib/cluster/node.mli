@@ -27,7 +27,6 @@ type config = {
   clic_params : Clic.Params.t;
   driver_params : Driver.params;
   tcp_params : Tcp.params;
-  trace : bool;  (** attach a pipeline trace (Figure 7) *)
   link_fault : (unit -> Fault.t) option;
       (** per-link fault injection, for exercising the reliability layers *)
   pci_per_nic : bool;
@@ -67,7 +66,6 @@ type t = {
   mutable tcp : Tcp.t;
   mutable udp : Udp.t;
   mutable clic : Clic.Api.t;
-  trace : Trace.t option;
   mutable epoch : int;  (** boot count; bumped by {!reboot} *)
   mutable up : bool;
   mutable crashes : int;

@@ -155,11 +155,6 @@ let validate_arrival = function
                      time would not exist)";
       if min_gap <= 0 then invalid_arg "Workload: Pareto min_gap <= 0"
 
-let mean_gap_of = function
-  | Poisson { mean_gap } -> float_of_int mean_gap
-  | Pareto { shape; min_gap } ->
-      shape *. float_of_int min_gap /. (shape -. 1.)
-
 let draw_gap rng = function
   | Poisson { mean_gap } ->
       let g =

@@ -1,10 +1,11 @@
 (* A process-global instrumentation hub.
 
    Simulation components emit typed events here; nothing listens by
-   default, so the cost of an uninstalled probe is one flag test.  The
-   analysis layer (lib/check) installs a sink around a scenario run and
-   reconstructs object lifecycles, protocol invariants and determinism
-   hashes from the stream. *)
+   default, so the cost of an uninstalled probe is one flag test.  Sinks
+   nest: the analysis layer (lib/check) or the recorder (lib/obs) installs
+   one around a scenario run, and a figure's own collector (Figure 7's
+   stage spans) can push another inside it; every installed sink sees
+   every event until it is popped. *)
 
 type owner = App | Channel | Driver | Bh | Nic
 
@@ -102,24 +103,34 @@ type event =
   | Chan_retx of { chan : int; node : int; peer : int; seq : int }
   | Gray_fault of { host : string; mode : string; active : bool }
 
-let sink : (event -> unit) option ref = ref None
+(* Installed sinks, most recent first. *)
+let sinks : (event -> unit) list ref = ref []
 
-(* Mirror of [sink <> None], kept as a plain bool so every emit site in the
-   hot path pays a single load-and-test — no option dereference, no
+(* Mirror of [!sinks <> []], kept as a plain bool so every emit site in the
+   hot path pays a single load-and-test — no list dereference, no
    polymorphic comparison — when nothing is listening (the common case). *)
 let on = ref false
 
 let enabled () = !on
 
-let emit ev = match !sink with Some f -> f ev | None -> ()
+(* Outer sinks first, so nesting a collector changes nothing the outer
+   sink observes. *)
+let rec fan_out ev = function
+  | [] -> ()
+  | f :: outer ->
+      fan_out ev outer;
+      f ev
+
+let emit ev =
+  match !sinks with [ f ] -> f ev | [] -> () | fs -> fan_out ev fs
 
 let install f =
-  sink := Some f;
+  sinks := f :: !sinks;
   on := true
 
 let uninstall () =
-  sink := None;
-  on := false
+  (match !sinks with [] -> () | _ :: outer -> sinks := outer);
+  on := !sinks <> []
 
 let owner_name = function
   | App -> "app"

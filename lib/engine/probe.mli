@@ -3,8 +3,9 @@
     Simulation components report lifecycle and protocol events here.  With
     no sink installed (the default) an emission costs one flag test; the
     checker in [lib/check] installs a sink for the duration of a scenario
-    run.  Emission sites should guard event construction with {!enabled}
-    so that the disabled path does not allocate:
+    run, and sinks nest, so a collector installed inside that run sees the
+    same events.  Emission sites should guard event construction with
+    {!enabled} so that the disabled path does not allocate:
 
     {[ if Probe.enabled () then Probe.emit (Probe.Clock { now }) ]} *)
 
@@ -167,7 +168,7 @@ type event =
           gray-soak demands evidence that each mode actually fired *)
 
 val on : bool ref
-(** True iff a sink is installed.  Hot emit sites read this directly —
+(** True iff at least one sink is installed.  Hot emit sites read this directly —
     [if !Probe.on then Probe.emit ...] — so an uninstrumented run pays one
     load-and-test per site instead of an option dereference.  Treat as
     read-only: it is maintained by {!install}/{!uninstall}. *)
@@ -178,11 +179,14 @@ val enabled : unit -> bool
 val emit : event -> unit
 
 val install : (event -> unit) -> unit
-(** At most one sink; a second [install] replaces the first.  The sink runs
+(** Push a sink.  Sinks nest: while several are installed, each event
+    reaches every one of them, the earliest installed first.  A sink runs
     synchronously inside the emitting component — it must not schedule
     simulation work. *)
 
 val uninstall : unit -> unit
+(** Pop the most recently installed sink, restoring the one installed
+    before it; a no-op when none is installed. *)
 
 val owner_name : owner -> string
 val kind_name : obj_kind -> string

@@ -44,7 +44,6 @@ type t = {
   mutable free : int array; (* free-slot stack *)
   mutable free_n : int;
   mutable slots_used : int; (* slots ever handed out; rest are virgin *)
-  fifo : bool; (* no tie-break rng: comparisons skip [s_tie] *)
   tie_rng : Rng.t option;
   mutable next_seq : int;
   mutable executed : int;
@@ -271,7 +270,6 @@ let create ?tie_break () =
     free = [||];
     free_n = 0;
     slots_used = 0;
-    fifo = (match tie_rng with None -> true | Some _ -> false);
     tie_rng;
     next_seq = 0;
     executed = 0;

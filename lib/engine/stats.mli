@@ -1,15 +1,5 @@
-(** Measurement accumulators: counters, running summaries, log-scale
-    histograms and (x, y) series for figure regeneration. *)
-
-module Counter : sig
-  type t
-
-  val create : string -> t
-  val incr : ?by:int -> t -> unit
-  val value : t -> int
-  val name : t -> string
-  val reset : t -> unit
-end
+(** Measurement accumulators: running summaries, log-scale histograms and
+    (x, y) series for figure regeneration. *)
 
 module Summary : sig
   (** Streaming mean / variance / extrema (Welford's algorithm). *)
@@ -23,8 +13,6 @@ module Summary : sig
   val stddev : t -> float
   val min : t -> float
   val max : t -> float
-  val reset : t -> unit
-  val pp : Format.formatter -> t -> unit
 end
 
 module Histogram : sig

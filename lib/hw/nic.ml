@@ -41,7 +41,6 @@ let next_rx_id = ref 0
 
 type reasm = {
   mutable seen : int;
-  mutable template : Eth_frame.t option;
   mutable ce_any : bool;
       (* a CE mark on any fragment survives reassembly: the congestion
          signal must not be lost because only part of the packet sat in
@@ -356,12 +355,11 @@ let reassemble t (frame : Eth_frame.t) =
         match Hashtbl.find_opt t.reassembly key with
         | Some r -> r
         | None ->
-            let r = { seen = 0; template = None; ce_any = false } in
+            let r = { seen = 0; ce_any = false } in
             Hashtbl.add t.reassembly key r;
             r
       in
       slot.seen <- slot.seen + 1;
-      slot.template <- Some frame;
       slot.ce_any <- slot.ce_any || frame.ce;
       if slot.seen = frag.count then begin
         Hashtbl.remove t.reassembly key;
@@ -611,7 +609,6 @@ let unmask_irq t =
 let name t = t.name
 let mtu t = t.mtu
 let pci t = t.pci
-let fragmentation_enabled t = t.fragmentation
 let is_down t = t.down
 let interrupts_raised t = t.interrupts_raised
 let tx_packets t = t.tx_packets

@@ -6,9 +6,6 @@
     wait states, arbitration) and a per-transaction setup cost — the PCI 2.1
     delays "of microseconds" the paper cites. *)
 
-val default_efficiency : float
-val default_setup : Engine.Time.span
-
 val create :
   Engine.Sim.t ->
   ?name:string ->
@@ -18,7 +15,6 @@ val create :
   ?setup:Engine.Time.span ->
   unit ->
   Engine.Bus.t
-(** Defaults: 33 MHz, 4 bytes wide, {!default_efficiency},
-    {!default_setup}. *)
+(** Defaults: 33 MHz, 4 bytes wide, 0.78 efficiency, 900 ns setup. *)
 
 val peak_bytes_per_s : clock_mhz:float -> width_bytes:int -> float

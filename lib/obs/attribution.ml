@@ -19,7 +19,7 @@
      interrupt-side work services the oldest undelivered message.
 
    Stage durations merge each label's intervals disjointly
-   ([Trace.merged_length]), so a stage never exceeds wall-clock time; the
+   ([merged_length]), so a stage never exceeds wall-clock time; the
    driver's bottom-half time subtracts the CLIC module work nested inside
    it, mirroring the Figure 7 computation in [Report.Figures].  With
    pipelined traffic the windows of consecutive messages overlap and
@@ -82,9 +82,27 @@ let add_span acc label iv =
   | Some r -> r := iv :: !r
   | None -> Hashtbl.add acc.spans label (ref [ iv ])
 
+(* Merge-sweep over start-sorted intervals: extend the open interval while
+   the next one overlaps (or abuts), otherwise close it out. *)
+let merged_length intervals =
+  let sorted = List.sort compare intervals in
+  let total, open_iv =
+    List.fold_left
+      (fun (total, open_iv) (s, f) ->
+        match open_iv with
+        | None -> (total, Some (s, f))
+        | Some (os, of_) ->
+            if s <= of_ then (total, Some (os, max of_ f))
+            else (total + Time.diff of_ os, Some (s, f)))
+      (0, None) sorted
+  in
+  match open_iv with
+  | None -> total
+  | Some (os, of_) -> total + Time.diff of_ os
+
 let merged acc label =
   match Hashtbl.find_opt acc.spans label with
-  | Some r -> us (Trace.merged_length !r)
+  | Some r -> us (merged_length !r)
   | None -> 0.
 
 let finish_message acc =

@@ -6,7 +6,7 @@
     receiver to it: sender-side work goes to the latest message entered
     at the span's start, receiver-side work to the oldest message still
     in flight to that node (fragments are delivered in order).  Stage
-    durations merge intervals disjointly ({!Engine.Trace.merged_length});
+    durations merge intervals disjointly ({!merged_length});
     the bottom-half stage subtracts the CLIC module work nested inside
     it, mirroring [Report.Figures]'s Figure 7 computation.
 
@@ -46,7 +46,9 @@ val latency_percentiles : message list -> percentiles
 (** Bucketed (power-of-two) percentiles of total latency, via
     {!Engine.Stats.Histogram}. *)
 
-val stage_means : message list -> stages
+val merged_length : (Engine.Time.t * Engine.Time.t) list -> Engine.Time.span
+(** Total length of the union of the given [(start, finish)] intervals
+    (overlaps counted once). *)
 
 val pp_table : Format.formatter -> message list -> unit
 (** Per-message stage table plus mean row and latency percentiles. *)

@@ -47,7 +47,6 @@ type t = {
   bh : Bottom_half.t;
   nic : Nic.t;
   params : params;
-  trace : Trace.t option;
   mutable rx_upcall : (Nic.rx_desc -> unit) option;
   mutable rx_upcalls : int;
   (* receiver-livelock mitigation (NAPI-style polling) *)
@@ -59,18 +58,11 @@ type t = {
   mutable polled_packets : int;
   (* node crash support *)
   mutable dead : bool;
-  mutable dead_discards : int;
 }
 
-(* Stage work is reported twice over: to the node's [Trace] (when
-   attached) for the Figure 7 table, and to [Probe] as a timeline span for
-   the observability layer. *)
+(* Stage work is reported to [Probe] as a span on this CPU: the Figure 7
+   table and the observability layer both read it from there. *)
 let traced t ~track label f =
-  let f =
-    match t.trace with
-    | Some tr -> fun () -> Trace.run tr label f
-    | None -> f
-  in
   if !Probe.on then begin
     let start = Sim.now t.sim in
     let v = f () in
@@ -95,8 +87,7 @@ let deliver_one t desc =
 (* A crashed driver owns buffers already pulled from the ring (queued for
    the bottom half): they are discarded, each with a visible release so the
    lifecycle sanitizer balances. *)
-let discard_one t desc =
-  t.dead_discards <- t.dead_discards + 1;
+let discard_one desc =
   if !Probe.on then
     Probe.emit
       (Probe.Obj_free
@@ -208,7 +199,7 @@ let[@clic.atomic] isr t () =
       | Via_bottom_half ->
           if descs <> [] then
             Bottom_half.schedule t.bh (fun () ->
-                if t.dead then List.iter (discard_one t) descs
+                if t.dead then List.iter discard_one descs
                 else
                   traced t ~track:Probe.Bh_track "driver:bottom-half"
                     (fun () ->
@@ -221,7 +212,7 @@ let[@clic.atomic] isr t () =
                       descs)));
       Nic.unmask_irq t.nic)
 
-let create sim ~cpu ~intr ~bh ~nic ?(params = default_params) ?trace () =
+let create sim ~cpu ~intr ~bh ~nic ?(params = default_params) () =
   if params.napi then begin
     if params.napi_budget <= 0 then
       invalid_arg "Driver.create: napi_budget <= 0";
@@ -235,7 +226,6 @@ let create sim ~cpu ~intr ~bh ~nic ?(params = default_params) ?trace () =
       bh;
       nic;
       params;
-      trace;
       rx_upcall = None;
       rx_upcalls = 0;
       polling = false;
@@ -245,7 +235,6 @@ let create sim ~cpu ~intr ~bh ~nic ?(params = default_params) ?trace () =
       poll_passes = 0;
       polled_packets = 0;
       dead = false;
-      dead_discards = 0;
     }
   in
   Nic.set_interrupt nic (fun () -> Interrupt.raise_irq intr ~isr:(isr t));
@@ -283,9 +272,3 @@ let is_polling t = t.polling
 let poll_mode_switches t = t.poll_mode_switches
 let poll_passes t = t.poll_passes
 let polled_packets t = t.polled_packets
-let dead_discards t = t.dead_discards
-
-(* ethtool-style flow-control statistics, read straight from the NIC *)
-let tx_paused_ns t = Hw.Nic.tx_paused_ns t.nic
-let pause_frames_rx t = Hw.Nic.pause_frames_rx t.nic
-let pause_frames_tx t = Hw.Nic.pause_frames_tx t.nic

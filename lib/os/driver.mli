@@ -62,12 +62,11 @@ val create :
   bh:Bottom_half.t ->
   nic:Nic.t ->
   ?params:params ->
-  ?trace:Trace.t ->
   unit ->
   t
-(** Hooks the NIC's interrupt line; at most one driver per NIC.  When a
-    trace is supplied, the ISR, bottom-half and transmit-routine stages are
-    recorded (used to regenerate the paper's Figure 7). *)
+(** Hooks the NIC's interrupt line; at most one driver per NIC.  The ISR,
+    bottom-half and transmit-routine stages are reported as {!Probe.Span}s
+    on the CPU's name (Figure 7 is built from them). *)
 
 val set_rx_upcall : t -> (Nic.rx_desc -> unit) -> unit
 (** The protocol entry point (CLIC_MODULE, or netif_rx for TCP/IP).  Runs
@@ -109,12 +108,4 @@ val poll_mode_switches : t -> int
 val poll_passes : t -> int
 val polled_packets : t -> int
 
-val dead_discards : t -> int
-
 (** {1 Flow-control statistics} — ethtool-style pass-throughs to the NIC *)
-
-val tx_paused_ns : t -> int
-val pause_frames_rx : t -> int
-val pause_frames_tx : t -> int
-(** Ring buffers discarded because the driver was killed with work still
-    queued. *)

@@ -9,7 +9,6 @@ let default_params = { tx_cost = Time.us 1.5; rx_cost = Time.us 2.0 }
 type reasm = {
   mutable seen : int;
   mutable bytes : int;
-  mutable last : Packet.ip_packet option;
 }
 
 type t = {
@@ -20,7 +19,6 @@ type t = {
   mutable next_ip_id : int;
   reassembly : (int * int, reasm) Hashtbl.t;
   mutable packets_sent : int;
-  mutable packets_received : int;
 }
 
 let cpu t = (Ethernet.env t.eth).Hostenv.cpu
@@ -42,7 +40,6 @@ let rx t (desc : Nic.rx_desc) =
   match desc.Nic.rx_frame.Eth_frame.payload with
   | Packet.Ip pkt -> (
       Cpu.work ~priority:`High (cpu t) t.params.rx_cost;
-      t.packets_received <- t.packets_received + 1;
       match pkt.ip_frag with
       | None -> deliver t pkt
       | Some frag ->
@@ -51,13 +48,12 @@ let rx t (desc : Nic.rx_desc) =
             match Hashtbl.find_opt t.reassembly key with
             | Some s -> s
             | None ->
-                let s = { seen = 0; bytes = 0; last = None } in
+                let s = { seen = 0; bytes = 0 } in
                 Hashtbl.add t.reassembly key s;
                 s
           in
           slot.seen <- slot.seen + 1;
           slot.bytes <- slot.bytes + pkt.ip_bytes;
-          slot.last <- Some pkt;
           if slot.seen = frag.frag_count then begin
             Hashtbl.remove t.reassembly key;
             deliver t { pkt with ip_bytes = slot.bytes; ip_frag = None }
@@ -74,7 +70,6 @@ let create eth ?(params = default_params) () =
       next_ip_id = 0;
       reassembly = Hashtbl.create 16;
       packets_sent = 0;
-      packets_received = 0;
     }
   in
   Ethernet.register eth ~ethertype:Packet.ethertype_ip (rx t);
@@ -136,6 +131,5 @@ let send t ~dst ~skb payload =
   Skbuff.release skb ~where:"ip:encap"
 
 let packets_sent t = t.packets_sent
-let packets_received t = t.packets_received
 let reassembly_pending t = Hashtbl.length t.reassembly
 let ethernet t = t.eth

@@ -125,30 +125,50 @@ type fig7_probe = {
 
 let sum_spans spans label =
   List.fold_left
-    (fun acc s ->
-      if String.equal s.Trace.label label then
-        acc +. Time.to_us (Time.diff s.Trace.finish s.Trace.start)
+    (fun acc (s : Render.span) ->
+      if String.equal s.label label then
+        acc +. Time.to_us (Time.diff s.finish s.start)
       else acc)
     0. spans
 
+(* Runs [f] with a probe sink collecting the host-side stage spans (driver
+   and CLIC_MODULE work); answers [f]'s result and a lookup of the spans
+   reported on one CPU, in (start, finish) order. *)
+let stage_spans f =
+  let rev = ref [] in
+  Probe.install (function
+    | Probe.Span
+        { host; track = Probe.Process | Isr | Bh_track | Module; label;
+          start; finish } ->
+        rev := (host, { Render.label; start; finish }) :: !rev
+    | _ -> ());
+  let v = Fun.protect ~finally:Probe.uninstall f in
+  let on_cpu cpu =
+    List.filter_map
+      (fun (host, s) -> if String.equal host cpu then Some s else None)
+      (List.rev !rev)
+    |> List.sort (fun (a : Render.span) b ->
+           compare (a.start, a.finish) (b.start, b.finish))
+  in
+  (v, on_cpu)
+
 let fig7_once ~driver_params ~irq_dispatch =
   let config =
-    { Node.default_config with trace = true; irq_dispatch;
+    { Node.default_config with irq_dispatch;
       driver_params;
       coalesce = Hw.Nic.no_coalesce }
   in
   let c = Net.create ~config ~n:2 () in
   let pair = Measure.clic_pair c ~a:0 ~b:1 () in
-  (* One-way transfer of a single packet: the traces then hold exactly the
+  (* One-way transfer of a single packet: the spans are then exactly the
      stages of Figure 7 (a ping-pong would mix in the reply's spans and
      the channel acknowledgements of both directions). *)
-  let r = Measure.stream c pair ~a:0 ~b:1 ~size:1400 ~messages:1 in
-  let span_list node =
-    match (Net.node c node).Node.trace with
-    | Some tr -> Trace.spans tr
-    | None -> []
+  let r, on_cpu =
+    stage_spans (fun () ->
+        Measure.stream c pair ~a:0 ~b:1 ~size:1400 ~messages:1)
   in
-  let a_spans = span_list 0 and b_spans = span_list 1 in
+  let spans_of i = on_cpu (Os_model.Cpu.name (Node.cpu (Net.node c i))) in
+  let a_spans = spans_of 0 and b_spans = spans_of 1 in
   let module_tx = sum_spans a_spans "clic:module-tx" in
   let driver_tx = sum_spans a_spans "driver:tx-routine" in
   let isr_total = sum_spans b_spans "driver:isr" in
@@ -175,9 +195,9 @@ let fig7_once ~driver_params ~irq_dispatch =
      the channel's business, not Figure 7's *)
   let labelled prefix spans =
     List.filter_map
-      (fun s ->
-        if Time.to_us s.Trace.start <= total then
-          Some { s with Trace.label = prefix ^ s.Trace.label }
+      (fun (s : Render.span) ->
+        if Time.to_us s.start <= total then
+          Some { s with label = prefix ^ s.label }
         else None)
       spans
   in

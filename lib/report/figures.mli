@@ -7,9 +7,6 @@
 
 open Engine
 
-val default_sizes : int list
-val quick_sizes : int list
-
 val fig4 : ?quick:bool -> Format.formatter -> Stats.Series.t list
 (** CLIC bandwidth for MTU {1500, 9000} × {0-copy, 1-copy}. *)
 
@@ -220,7 +217,6 @@ type slo_row = {
   sl_p999_us : float;
   sl_goodput_mbps : float;
 }
-
 
 val slo : ?quick:bool -> Format.formatter -> slo_row list
 (** CLIC vs TCP serving the same seeded open-loop request-response

@@ -5,11 +5,3 @@ let clic_over_tcp_best_case = 2.0
 let mpi_clic_over_mpi_tcp_worst_case = 1.5
 let half_bandwidth_size_clic = 4096
 let half_bandwidth_size_tcp = 16384
-let fig7a_sender_module_driver_us = 4.7
-let fig7a_bottom_half_us = 15.
-let fig7a_module_rx_us = 2.
-let fig7_interrupt_latency_us = 20.
-let fig7b_interrupt_latency_us = 5.
-let gamma_latency_us = 32.
-let gamma_bandwidth_mbps = 800.
-let mtu_interrupt_interval_us = 12.

@@ -25,8 +25,10 @@ val bar : float -> max:float -> width:int -> string
 val section : Format.formatter -> string -> unit
 (** An underlined section heading. *)
 
-val timeline : Format.formatter -> width:int -> Engine.Trace.span list -> unit
-(** An ASCII Gantt chart of trace spans (used by fig7's pipeline view). *)
+type span = { label : string; start : Time.t; finish : Time.t }
+
+val timeline : Format.formatter -> width:int -> span list -> unit
+(** An ASCII Gantt chart of stage spans (used by fig7's pipeline view). *)
 
 val series_csv : x_label:string -> Engine.Stats.Series.t list -> string
 (** CSV text for a set of series: header then one row per x value, empty

@@ -414,6 +414,16 @@ let test_soak_argument_checks () =
   check_bool "unknown template rejected" true
     (raises (fun () -> Check.Soak.run ~only:[ "no-such-template" ] ()))
 
+(* A soak report's evidence count, read by its printed label. *)
+let evidence r label =
+  match
+    List.find_opt
+      (fun row -> String.equal row.Check.Soak.label label)
+      r.Check.Soak.s_evidence
+  with
+  | Some row -> row.Check.Soak.count
+  | None -> Alcotest.failf "no evidence row %S" label
+
 let test_soak_smoke () =
   (* One seed over every template in quick mode: the full harness — node
      crash/reboot, pool crunch, interrupt storm, composed link weather,
@@ -428,17 +438,17 @@ let test_soak_smoke () =
   check_int "one trial per template ran"
     (List.length Check.Soak.template_names)
     (List.length r.Check.Soak.s_trials);
-  let ev = r.Check.Soak.s_evidence in
-  check_bool "a crash happened" true (ev.Check.Soak.ev_crashes > 0);
+  let ev = evidence r in
+  check_bool "a crash happened" true (ev "node crashes" > 0);
   check_bool "hard watermark dropped frames" true
-    (ev.Check.Soak.ev_pool_drops > 0);
-  check_bool "polling engaged" true (ev.Check.Soak.ev_poll_switches > 0);
+    (ev "hard-watermark ingress drops" > 0);
+  check_bool "polling engaged" true (ev "poll-mode switches" > 0);
   check_bool "the switch dropped frames somewhere" true
-    (ev.Check.Soak.ev_switch_drops > 0);
+    (ev "switch drops (ingress + egress)" > 0);
   check_bool "802.3x PAUSE frames flowed" true
-    (ev.Check.Soak.ev_pause_frames > 0);
+    (ev "802.3x PAUSE frames generated" > 0);
   check_bool "transmitters spent time XOFFed" true
-    (ev.Check.Soak.ev_tx_paused_ns > 0)
+    (ev "tx time XOFFed (ns)" > 0)
 
 let test_soak_incast_storm_focused () =
   (* The incast template alone, two seeds: the stampede must run under
@@ -457,12 +467,12 @@ let test_soak_incast_storm_focused () =
       Alcotest.(check string)
         "template" "incast-storm" tr.Check.Soak.tr_template)
     r.Check.Soak.s_trials;
-  let ev = r.Check.Soak.s_evidence in
+  let ev = evidence r in
   check_bool "tail-drop arm lost frames at the switch" true
-    (ev.Check.Soak.ev_switch_drops > 0);
+    (ev "switch drops (ingress + egress)" > 0);
   check_bool "flow-controlled arm got XOFFed" true
-    (ev.Check.Soak.ev_pause_frames > 0 && ev.Check.Soak.ev_tx_paused_ns > 0);
-  check_bool "traffic actually flowed" true (ev.Check.Soak.ev_delivered > 0)
+    (ev "802.3x PAUSE frames generated" > 0 && ev "tx time XOFFed (ns)" > 0);
+  check_bool "traffic actually flowed" true (ev "messages delivered" > 0)
 
 (* Satellite: the probe-enabled flag is consulted on the engine's hottest
    path, so a probe-off run and a probe-on run of a full scenario must
@@ -476,12 +486,12 @@ let test_soak_fabric_cut_focused () =
     (fun v -> Printf.printf "unexpected: %s\n" (Check.Violation.to_string v))
     (Check.Soak.violations r);
   check_bool "fabric-cut runs clean" true (Check.Soak.ok r);
-  let ev = r.Check.Soak.s_evidence in
-  check_bool "frames crossed trunks" true (ev.Check.Soak.ev_trunk_frames > 0);
+  let ev = evidence r in
+  check_bool "frames crossed trunks" true (ev "frames carried on trunks" > 0);
   check_bool "a switch failed mid-trial" true
-    (ev.Check.Soak.ev_switch_failures > 0);
-  check_bool "a node crashed mid-trial" true (ev.Check.Soak.ev_crashes > 0);
-  check_bool "traffic actually flowed" true (ev.Check.Soak.ev_delivered > 0)
+    (ev "switches failed mid-trial" > 0);
+  check_bool "a node crashed mid-trial" true (ev "node crashes" > 0);
+  check_bool "traffic actually flowed" true (ev "messages delivered" > 0)
 
 (* The compatibility contract: every scenario's logical trace stays where
    test/golden/scenario_hashes.txt pins it.  The full sweep runs in CI
@@ -984,6 +994,53 @@ let test_lint_mli_coverage () =
   check_int "clean once the interface exists" 0
     (List.length (Lint.mli_coverage ~root))
 
+(* R6 on the known-bad mini root: one module, one export nothing else
+   references. *)
+let test_lint_r6_fixture () =
+  let r = Lint.run_all ~root:(fixture "r6_root") in
+  match r.Lint.r_findings with
+  | [ d ] ->
+      Alcotest.(check string) "rule" "R6" (Ldiag.rule_id d.Ldiag.d_rule);
+      check_bool "names M.unused" true
+        (String.starts_with ~prefix:"exported value M.unused " d.Ldiag.d_msg)
+  | l ->
+      List.iter (fun d -> print_endline (Ldiag.to_string d)) l;
+      Alcotest.failf "expected exactly one R6 finding, got %d" (List.length l)
+
+(* R6's reference resolution, one export per form: qualified, through a
+   module alias, a bare name under [open], under a local [M.( )] open, a
+   submodule value, and one used only inside its own module. *)
+let test_lint_r6_resolution () =
+  let root = Filename.temp_file "clic_lint" ".d" in
+  Sys.remove root;
+  let write path text =
+    let oc = open_out path in
+    output_string oc text;
+    close_out oc
+  in
+  List.iter
+    (fun d -> Sys.mkdir (Filename.concat root d) 0o755)
+    [ ""; "lib"; "lib/m"; "bin" ];
+  write (Filename.concat root "lib/m/m.mli")
+    "val a : int\nval b : int\nval c : int\nval d : int\n\
+     module Sub : sig val e : int end\nval own : int\n";
+  write (Filename.concat root "lib/m/m.ml")
+    "let a = 1\nlet b = 2\nlet c = 3\nlet d = 4\n\
+     module Sub = struct let e = 5 end\nlet own = a + Sub.e\n";
+  write (Filename.concat root "bin/main.ml")
+    "module X = Lib.M\nlet () = ignore (Lib.M.a + X.b + Lib.M.(d) + M.Sub.e)\n\
+     open M\nlet () = ignore c\n";
+  let dead =
+    List.map
+      (fun (d : Ldiag.t) -> d.Ldiag.d_msg)
+      (Lint.run_all ~root).Lint.r_findings
+  in
+  match dead with
+  | [ msg ] ->
+      check_bool "only M.own is unreferenced" true
+        (String.starts_with ~prefix:"exported value M.own " msg)
+  | l -> Alcotest.failf "expected one finding, got: %s" (String.concat "; " l)
+
 let suite =
   [
     Alcotest.test_case "sim: seeded tie-break permutes same-instant events"
@@ -1069,4 +1126,8 @@ let suite =
       test_lint_repo_clean;
     Alcotest.test_case "lint: mli coverage (R5)" `Quick
       test_lint_mli_coverage;
+    Alcotest.test_case "lint: unreferenced export fixture (R6)" `Quick
+      test_lint_r6_fixture;
+    Alcotest.test_case "lint: R6 reference resolution" `Quick
+      test_lint_r6_resolution;
   ]

@@ -492,30 +492,6 @@ let test_series () =
     (Stats.Series.y_at s ~x:0.300001)
 
 (* ------------------------------------------------------------------ *)
-(* Trace *)
-
-let test_trace_spans () =
-  let sim = Sim.create () in
-  let tr = Trace.create sim in
-  Process.spawn sim (fun () ->
-      Trace.run tr "stage-a" (fun () -> Process.delay 10);
-      Trace.run tr "stage-b" (fun () -> Process.delay 5);
-      Trace.run tr "stage-a" (fun () -> Process.delay 3));
-  Sim.run sim;
-  Alcotest.(check (option int)) "a total" (Some 13)
-    (Trace.duration tr "stage-a");
-  Alcotest.(check (option int)) "b total" (Some 5) (Trace.duration tr "stage-b");
-  Alcotest.(check (option int)) "missing" None (Trace.duration tr "nope");
-  check_int "span count" 3 (List.length (Trace.spans tr))
-
-let test_trace_disabled () =
-  let sim = Sim.create () in
-  let tr = Trace.create sim in
-  Trace.set_enabled tr false;
-  Trace.mark tr "x";
-  check_int "nothing recorded" 0 (List.length (Trace.spans tr))
-
-(* ------------------------------------------------------------------ *)
 (* Units *)
 
 let test_units () =
@@ -572,16 +548,6 @@ let test_semaphore_try_acquire_respects_queue () =
         (Semaphore.try_acquire sem));
   Sim.run sim;
   check_bool "fifo waiter served" true !blocked_got_it
-
-let test_trace_records_on_exception () =
-  let sim = Sim.create () in
-  let tr = Trace.create sim in
-  Process.spawn sim (fun () ->
-      match Trace.run tr "failing" (fun () -> failwith "x") with
-      | () -> ()
-      | exception Failure _ -> ());
-  Sim.run sim;
-  check_int "span recorded despite raise" 1 (List.length (Trace.spans tr))
 
 let test_histogram_empty () =
   let h = Stats.Histogram.create "empty" in
@@ -678,6 +644,32 @@ let qprops = List.map QCheck_alcotest.to_alcotest
       prop_arrival_streams_seed_deterministic;
       prop_semaphore_never_negative ]
 
+(* ------------------------------------------------------------------ *)
+(* Probe: nested sinks *)
+
+let test_probe_nested_sinks () =
+  let log = ref [] in
+  let sink name ev = log := (name ^ " " ^ Probe.to_string ev) :: !log in
+  let clock now = Probe.Clock { now } in
+  check_bool "no sink at start" false !Probe.on;
+  Probe.uninstall ();
+  check_bool "pop with no sink is a no-op" false !Probe.on;
+  Probe.install (sink "outer");
+  Probe.emit (clock 1);
+  Probe.install (sink "inner");
+  check_bool "on while nested" true !Probe.on;
+  Probe.emit (clock 2);
+  Probe.uninstall ();
+  check_bool "outer sink still on" true !Probe.on;
+  Probe.emit (clock 3);
+  Probe.uninstall ();
+  check_bool "off after the last pop" false !Probe.on;
+  Probe.emit (clock 4);
+  Alcotest.(check (list string))
+    "both sinks see each nested event, outer first; the pop restores outer"
+    [ "outer clock 1"; "outer clock 2"; "inner clock 2"; "outer clock 3" ]
+    (List.rev !log)
+
 let suite =
   [
     ("time constructors", `Quick, test_time_constructors);
@@ -714,14 +706,12 @@ let suite =
     ("stats summary", `Quick, test_summary);
     ("stats histogram", `Quick, test_histogram_percentile);
     ("stats series", `Quick, test_series);
-    ("trace spans", `Quick, test_trace_spans);
-    ("trace disabled", `Quick, test_trace_disabled);
     ("units", `Quick, test_units);
     ("process nested forks", `Quick, test_process_nested_forks);
     ("resource exception safety", `Quick, test_resource_use_f_releases_on_exception);
     ("semaphore no queue-jump", `Quick, test_semaphore_try_acquire_respects_queue);
-    ("trace on exception", `Quick, test_trace_records_on_exception);
     ("histogram empty", `Quick, test_histogram_empty);
     ("mailbox receiver order", `Quick, test_mailbox_competing_receivers_fifo);
+    ("probe nested sinks", `Quick, test_probe_nested_sinks);
   ]
   @ List.map (fun (n, s, f) -> (n, s, f)) qprops

@@ -2,7 +2,7 @@
 
    Property-based coverage of the Wire header codec and the Stats
    histogram (seeded [Engine.Rng] generators, no external dependency),
-   the two Trace duration readings, and the lib/obs exporters: Chrome
+   disjoint interval merging, and the lib/obs exporters: Chrome
    trace-event JSON validity and byte-determinism, the metrics registry,
    and the Figure-7 latency-attribution pass.  Golden-number regression
    bands for the Table 1 scalars live here too. *)
@@ -431,33 +431,15 @@ let test_histogram_properties () =
     (Stats.Histogram.percentile (Stats.Histogram.create "empty") 50.)
 
 (* ------------------------------------------------------------------ *)
-(* Trace: the two duration readings. *)
-
-let test_trace_duration_semantics () =
-  let sim = Sim.create () in
-  let tr = Trace.create sim in
-  (* two overlapping spans and one disjoint one: [0,10] [5,15] [20,30] *)
-  Trace.record tr "stage" 0 10;
-  Trace.record tr "stage" 5 15;
-  Trace.record tr "stage" 20 30;
-  Trace.record tr "other" 2 4;
-  (match Trace.duration tr "stage" with
-  | Some d -> check_int "duration sums with multiplicity" 30 d
-  | None -> Alcotest.fail "duration: label missing");
-  (match Trace.disjoint_duration tr "stage" with
-  | Some d -> check_int "disjoint merges the overlap" 25 d
-  | None -> Alcotest.fail "disjoint_duration: label missing");
-  check_bool "missing label" true (Trace.duration tr "nope" = None);
-  check_bool "missing label (disjoint)" true
-    (Trace.disjoint_duration tr "nope" = None)
+(* Disjoint interval merging (the attribution pass's stage reading). *)
 
 let test_merged_length () =
-  check_int "empty" 0 (Trace.merged_length []);
+  check_int "empty" 0 (Obs.Attribution.merged_length []);
   check_int "abutting intervals merge" 10
-    (Trace.merged_length [ (0, 5); (5, 10) ]);
-  check_int "containment" 10 (Trace.merged_length [ (0, 10); (2, 8) ]);
+    (Obs.Attribution.merged_length [ (0, 5); (5, 10) ]);
+  check_int "containment" 10 (Obs.Attribution.merged_length [ (0, 10); (2, 8) ]);
   check_int "unsorted input" 12
-    (Trace.merged_length [ (20, 25); (0, 5); (3, 7) ]);
+    (Obs.Attribution.merged_length [ (20, 25); (0, 5); (3, 7) ]);
   let rng = Rng.create ~seed:5 in
   for _ = 1 to 100 do
     let ivs =
@@ -467,7 +449,7 @@ let test_merged_length () =
           let a = Rng.int rng 1000 in
           (a, a + Rng.int rng 100))
     in
-    let merged = Trace.merged_length ivs in
+    let merged = Obs.Attribution.merged_length ivs in
     let summed = List.fold_left (fun acc (a, b) -> acc + (b - a)) 0 ivs in
     check_bool "merged <= summed" true (merged <= summed);
     let lo = List.fold_left (fun m (a, _) -> min m a) max_int ivs in
@@ -723,6 +705,17 @@ let test_fig7_goldens () =
        (Obs.Metrics.to_csv (Obs.Metrics.build rec_))
        (read_file "golden/fig7.metrics.csv"))
 
+(* `clic-sim figure fig7` prints exactly golden/fig7.figure.txt: the
+   stage table and the pipeline chart built from its spans. *)
+let test_fig7_figure_golden () =
+  let buf = Buffer.create 4096 in
+  let fmt = Format.formatter_of_buffer buf in
+  let violations = (Check.Experiment.find "fig7").run ~quick:false fmt in
+  Format.pp_print_flush fmt ();
+  check_int "fig7 has no contract" 0 (List.length violations);
+  check_bool "figure fig7 equals golden/fig7.figure.txt" true
+    (String.equal (Buffer.contents buf) (read_file "golden/fig7.figure.txt"))
+
 (* The JSON string escaping the exporter used to apply to every string,
    kept here as the reference for its escape-only-when-needed writer. *)
 let reference_escape s =
@@ -829,11 +822,11 @@ let suite =
     ("wire epoch & old-format rejection", `Quick, test_wire_epoch_field_and_old_format);
     ("wire rejects out-of-range fields", `Quick, test_wire_encode_rejects_out_of_range);
     ("histogram invariants", `Quick, test_histogram_properties);
-    ("trace duration vs disjoint", `Quick, test_trace_duration_semantics);
     ("merged_length", `Quick, test_merged_length);
     ("timeline JSON validity", `Quick, test_timeline_json_valid);
     ("timeline determinism", `Quick, test_timeline_deterministic);
     ("fig7 exports equal the goldens", `Quick, test_fig7_goldens);
+    ("fig7 figure text equals its golden", `Quick, test_fig7_figure_golden);
     ("timeline string escaping", `Quick, test_timeline_escaping);
     ("timeline ts/dur digits", `Quick, test_timeline_ts_digits);
     ("timeline flow ids unique", `Quick, test_timeline_flow_ids_unique);

@@ -63,8 +63,8 @@ let test_timeline_shape () =
   let sim = Sim.create () in
   let spans =
     [
-      { Trace.label = "first"; start = 0; finish = Time.us 10. };
-      { Trace.label = "second"; start = Time.us 10.; finish = Time.us 20. };
+      { Report.Render.label = "first"; start = 0; finish = Time.us 10. };
+      { Report.Render.label = "second"; start = Time.us 10.; finish = Time.us 20. };
     ]
   in
   ignore sim;

@@ -1,8 +1,9 @@
 (* clic-lint CLI.
 
    Usage:
-     clic-lint --all [--root DIR]        lint lib/ bin/ bench/ under DIR
-     clic-lint FILE.ml ...               lint specific files (no R5 pass)
+     clic-lint --all [--root DIR]        lint lib/ bin/ bench/ under DIR,
+                                         plus the R5/R6 project passes
+     clic-lint FILE.ml ...               lint specific files (no R5/R6)
      --rule R1,R3                        keep only the named rules
      --waiver-report                     print every waiver annotation
    Exit status: 0 when no finding survives the filter, 1 otherwise,

@@ -162,14 +162,16 @@ type t = {
 
 exception Parse_failure of Lint_diag.t
 
-let parse_file path =
+(* Parse [path] with [parse] ([Parse.implementation] or
+   [Parse.interface]); a failure raises [Parse_failure]. *)
+let parse_source parse path =
   let ic = open_in_bin path in
   Fun.protect
     ~finally:(fun () -> close_in_noerr ic)
     (fun () ->
       let lexbuf = Lexing.from_channel ic in
       Location.init lexbuf path;
-      try Parse.implementation lexbuf
+      try parse lexbuf
       with exn ->
         let pos =
           match exn with
@@ -182,6 +184,8 @@ let parse_file path =
              (Lint_diag.make Lint_diag.Parse pos
                 (Printf.sprintf "cannot parse %s (%s)" path
                    (Printexc.to_string exn)))))
+
+let parse_file = parse_source Parse.implementation
 
 (* Does an expression mention the probe-enabled flag?  Covers [!Probe.on],
    [Probe.enabled ()], and compound conditions containing either. *)

@@ -1,13 +1,12 @@
 (* Project-level driver for clic-lint: file discovery under a repo root,
-   per-file analysis, R5 mli-coverage over [lib/], and aggregation of
+   per-file analysis, the project passes (R5 mli coverage over [lib/], R6
+   unreferenced exports, see [Lint_exports]), and aggregation of
    findings + waivers into sorted reports. *)
 
-let is_ml f = Filename.check_suffix f ".ml"
-
-(* Recursively list regular [.ml] files under [dir], skipping build and
-   VCS directories.  Answers [] when [dir] does not exist so a root
-   without [bench/] still lints. *)
-let rec ml_files_under dir =
+(* Recursively list regular files ending in [suffix] under [dir],
+   skipping build and VCS directories.  Answers [] when [dir] does not
+   exist so a root without [bench/] still lints. *)
+let rec files_under ~suffix dir =
   if not (Sys.file_exists dir && Sys.is_directory dir) then []
   else
     Sys.readdir dir |> Array.to_list |> List.sort compare
@@ -15,9 +14,11 @@ let rec ml_files_under dir =
            if entry = "" || entry.[0] = '.' || entry = "_build" then []
            else
              let path = Filename.concat dir entry in
-             if Sys.is_directory path then ml_files_under path
-             else if is_ml entry then [ path ]
+             if Sys.is_directory path then files_under ~suffix path
+             else if Filename.check_suffix entry suffix then [ path ]
              else [])
+
+let ml_files_under = files_under ~suffix:".ml"
 
 (* The scanned subtrees for [--all]. *)
 let default_subdirs = [ "lib"; "bin"; "bench" ]
@@ -72,13 +73,18 @@ let run_files files =
     r_files = List.length files;
   }
 
+(* A file that does not parse is reported by both the per-file pass and
+   R6; keep one copy. *)
 let run_all ~root =
   let r = run_files (discover ~root) in
+  let project = mli_coverage ~root @ Lint_exports.unreferenced ~root ~files_under in
   {
     r with
     r_findings =
-      List.stable_sort Lint_diag.compare_by_pos
-        (mli_coverage ~root @ r.r_findings);
+      List.sort_uniq
+        (fun a b ->
+          match Lint_diag.compare_by_pos a b with 0 -> compare a b | c -> c)
+        (project @ r.r_findings);
   }
 
 let filter_rules rules r =
