@@ -138,10 +138,7 @@ let run_chaos verbose quick loss burst dup jitter_us mtu size messages =
     let c = Net.create ~config ~n:2 () in
     let pair = Measure.clic_pair c ~a:0 ~b:1 () in
     let r = Measure.stream c pair ~a:0 ~b:1 ~size ~messages in
-    let sum f =
-      f (Clic.Api.kernel (Net.node c 0).Node.clic)
-      + f (Clic.Api.kernel (Net.node c 1).Node.clic)
-    in
+    let count name = Counters.total c.Net.sim ("channel." ^ name) in
     Printf.printf
       "chaos stream of %d x %dB at MTU %d (loss %.2f%%, burst %d, dup \
        %.2f%%, jitter %.0fus):\n\
@@ -150,16 +147,8 @@ let run_chaos verbose quick loss burst dup jitter_us mtu size messages =
       messages size mtu (100. *. loss) burst (100. *. dup) jitter_us
       r.Measure.st_bandwidth_mbps
       (Time.to_us r.Measure.elapsed /. 1000.)
-      (sum Clic.Clic_module.retransmissions)
-      (sum Clic.Clic_module.timeouts)
-      (sum Clic.Clic_module.fast_retransmits)
-      (sum (fun km ->
-           match Clic.Clic_module.channel_to km ~peer:0 with
-           | Some ch -> Clic.Channel.duplicates_dropped ch
-           | None -> (
-               match Clic.Clic_module.channel_to km ~peer:1 with
-               | Some ch -> Clic.Channel.duplicates_dropped ch
-               | None -> 0)));
+      (count "retransmissions") (count "timeouts") (count "fast_retransmits")
+      (count "duplicates_dropped");
     (match
        Clic.Clic_module.channel_to (Clic.Api.kernel (Net.node c 0).Node.clic)
          ~peer:1

@@ -131,19 +131,14 @@ let fault_until = Time.ms 5.
 let run_contract ?(quick = false) ?(contract = default) () =
   validate contract;
   let requests_per_node = if quick then 60 else 120 in
-  let faults = ref [] in
   let config =
     {
       Node.default_config with
       link_fault =
         Some
           (fun () ->
-            let f =
-              Hw.Fault.brownout ~fraction:0.125 ~from_:fault_from
-                ~until_:fault_until ()
-            in
-            faults := f :: !faults;
-            f);
+            Hw.Fault.brownout ~fraction:0.125 ~from_:fault_from
+              ~until_:fault_until ());
     }
   in
   let c = Net.create ~config ~n:4 () in
@@ -158,18 +153,9 @@ let run_contract ?(quick = false) ?(contract = default) () =
   (* the contract is void unless every fail-slow mechanism engaged *)
   let engaged =
     [
-      ( "link-brownout",
-        List.fold_left (fun acc f -> acc + Hw.Fault.slowed f) 0 !faults > 0 );
-      ( "nic-slow",
-        List.exists
-          (fun i ->
-            List.exists
-              (fun nic -> Hw.Nic.slow_extra_ns nic > 0)
-              (Net.node c i).Node.nics)
-          [ 1; 2 ] );
-      ( "switch-stall",
-        List.exists (fun sw -> Hw.Switch.egress_stall_ns sw > 0) c.Net.switches
-      );
+      ("link-brownout", Counters.total c.Net.sim "fault.slowed" > 0);
+      ("nic-slow", Counters.total c.Net.sim "nic.slow_extra_ns" > 0);
+      ("switch-stall", Counters.total c.Net.sim "switch.egress_stall_ns" > 0);
     ]
   in
   let missing =

@@ -16,104 +16,92 @@
    drove the pool past its hard watermark, never entered polling mode, or
    never re-established a channel after a crash was not soaking anything,
    so missing evidence is a failure too (unless the template set was
-   narrowed).  The evidence counters come from the stack's own statistics
-   and are accumulated per boot — a crashed kernel's counters are
-   banked just before the hardware is rebooted. *)
+   narrowed).  The evidence rows name counters in each simulator's
+   registry ({!Engine.Counters}), read once when the trial ends: a crashed
+   boot's objects stay registered beside the rebooted boot's, so nothing
+   needs banking before a reboot. *)
 
 open Engine
 open Hw
 open Os_model
-open Proto
 open Cluster
 
-(* The evidence table, one row per counter in print order: the label, the
-   complaint reported when the full template set ran and the count is
-   still zero ([None]: shown but not demanded), and the count. *)
-type row = { label : string; demand : string option; mutable count : int }
+(* The evidence table in print order: the label, the registry counters
+   whose run-wide totals the row sums ([[]]: the template feeds the row
+   itself), the complaint reported when the full template set ran and the
+   count is still zero ([None]: shown but not demanded), and the count. *)
+type row = {
+  label : string;
+  counters : string list;
+  demand : string option;
+  mutable count : int;
+}
 
 let evidence_rows =
   [
-    ("messages delivered", Some "no message was delivered");
-    ( "hard-watermark ingress drops",
+    ( "messages delivered", [ "clic.messages_delivered" ],
+      Some "no message was delivered" );
+    ( "hard-watermark ingress drops", [ "nic.rx_dropped_mem" ],
       Some "pool hard watermark never dropped a frame" );
-    ("bad-FCS frames dropped", Some "no corrupted frame reached a MAC");
-    ("poll-mode switches", Some "driver never switched into polling mode");
-    ("packets via poll passes", Some "no packets were processed by poll passes");
-    ("node crashes", Some "no node crashed");
-    ("channels re-established", Some "no channel was re-established");
-    ( "peer reboots noticed (newer epoch)",
+    ( "bad-FCS frames dropped", [ "nic.bad_fcs" ],
+      Some "no corrupted frame reached a MAC" );
+    ( "poll-mode switches", [ "driver.poll_mode_switches" ],
+      Some "driver never switched into polling mode" );
+    ( "packets via poll passes", [ "driver.polled_packets" ],
+      Some "no packets were processed by poll passes" );
+    ("node crashes", [ "node.crashes" ], Some "no node crashed");
+    ( "channels re-established", [ "clic.reestablishments" ],
+      Some "no channel was re-established" );
+    ( "peer reboots noticed (newer epoch)", [ "clic.peer_reboots" ],
       Some "no peer noticed a reboot (newer epoch)" );
-    ("stale-epoch frames rejected", None);
-    ("retransmissions", Some "nothing was ever retransmitted");
-    ("acks deferred under pressure", None);
-    ("switch drops (ingress + egress)", Some "no switch ever dropped a frame");
-    ("802.3x PAUSE frames generated", Some "no 802.3x PAUSE frame was generated");
-    ("tx time XOFFed (ns)", Some "no transmitter was ever XOFFed");
-    ("frames carried on trunks", Some "no frame ever crossed a trunk");
-    ("switches failed mid-trial", Some "no switch was ever failed mid-trial");
-    ("frames CE-marked (ECN)", Some "no frame was ever CE-marked");
-    ("segments covered by SACK blocks", Some "no segment was ever SACKed");
-    ( "open-loop requests answered (gray)",
+    ("stale-epoch frames rejected", [ "clic.stale_epoch_drops" ], None);
+    ( "retransmissions", [ "channel.retransmissions" ],
+      Some "nothing was ever retransmitted" );
+    ("acks deferred under pressure", [ "channel.acks_deferred" ], None);
+    ( "switch drops (ingress + egress)",
+      [ "switch.ingress_drops"; "switch.egress_drops" ],
+      Some "no switch ever dropped a frame" );
+    ( "802.3x PAUSE frames generated",
+      [ "nic.pause_frames_tx"; "switch.pause_frames_tx" ],
+      Some "no 802.3x PAUSE frame was generated" );
+    ( "tx time XOFFed (ns)", [ "nic.tx_paused_ns" ],
+      Some "no transmitter was ever XOFFed" );
+    ( "frames carried on trunks", [ "switch.trunk_tx_frames" ],
+      Some "no frame ever crossed a trunk" );
+    ( "switches failed mid-trial", [],
+      Some "no switch was ever failed mid-trial" );
+    ( "frames CE-marked (ECN)", [ "switch.ecn_marked" ],
+      Some "no frame was ever CE-marked" );
+    ( "segments covered by SACK blocks", [ "channel.sacked_segments" ],
+      Some "no segment was ever SACKed" );
+    ( "open-loop requests answered (gray)", [],
       Some "no open-loop request was ever answered" );
-    ( "frames slowed by link brownouts",
+    ( "frames slowed by link brownouts", [ "fault.slowed" ],
       Some "no link brownout ever slowed a frame" );
-    ("NIC fail-slow service added (ns)", Some "no NIC ever served fail-slow");
-    ("egress pump time stalled (ns)", Some "no switch egress pump ever stalled");
+    ( "NIC fail-slow service added (ns)", [ "nic.slow_extra_ns" ],
+      Some "no NIC ever served fail-slow" );
+    ( "egress pump time stalled (ns)", [ "switch.egress_stall_ns" ],
+      Some "no switch egress pump ever stalled" );
   ]
 
 let fresh_evidence () =
-  List.map (fun (label, demand) -> { label; demand; count = 0 }) evidence_rows
+  List.map
+    (fun (label, counters, demand) -> { label; counters; demand; count = 0 })
+    evidence_rows
 
 let add ev label n =
   match List.find_opt (fun r -> String.equal r.label label) ev with
   | Some r -> r.count <- r.count + n
   | None -> invalid_arg ("Soak: no evidence row " ^ label)
 
-(* Bank the counters of one node's *current boot*.  Called at the end of a
-   trial for every node, and additionally just before [Node.reboot]
-   replaces a crashed boot's objects. *)
-let bank_boot ev (node : Node.t) =
-  let add = add ev in
+(* Add one finished simulation's counter totals to the table. *)
+let read_counters ev sim =
   List.iter
-    (fun nic ->
-      add "hard-watermark ingress drops" (Nic.rx_dropped_mem nic);
-      add "bad-FCS frames dropped" (Nic.bad_fcs nic);
-      add "802.3x PAUSE frames generated" (Nic.pause_frames_tx nic);
-      add "tx time XOFFed (ns)" (Nic.tx_paused_ns nic))
-    node.Node.nics;
-  List.iter
-    (fun eth ->
-      let driver = (Proto.Ethernet.env eth).Hostenv.driver in
-      add "poll-mode switches" (Driver.poll_mode_switches driver);
-      add "packets via poll passes" (Driver.polled_packets driver))
-    node.Node.eths;
-  let m = Clic.Api.kernel node.Node.clic in
-  add "messages delivered" (Clic.Clic_module.messages_delivered m);
-  add "channels re-established" (Clic.Clic_module.reestablishments m);
-  add "peer reboots noticed (newer epoch)" (Clic.Clic_module.peer_reboots m);
-  add "stale-epoch frames rejected" (Clic.Clic_module.stale_epoch_drops m);
-  add "retransmissions" (Clic.Clic_module.retransmissions m);
-  add "acks deferred under pressure" (Clic.Clic_module.acks_deferred m);
-  add "segments covered by SACK blocks" (Clic.Clic_module.sacked_segments m)
-
-let bank_final ev net =
-  let add = add ev in
-  Array.iter
-    (fun node ->
-      bank_boot ev node;
-      add "node crashes" (Node.crashes node))
-    net.Net.nodes;
-  List.iter
-    (fun sw ->
-      add "switch drops (ingress + egress)"
-        (Switch.egress_drops sw + Switch.ingress_drops sw);
-      add "802.3x PAUSE frames generated" (Switch.pause_frames_tx sw);
-      add "frames CE-marked (ECN)" (Switch.ecn_marked sw);
+    (fun row ->
       List.iter
-        (fun peer ->
-          add "frames carried on trunks" (Switch.trunk_tx_frames sw ~peer))
-        (Switch.trunks sw))
-    net.Net.switches
+        (fun name -> row.count <- row.count + Counters.total sim name)
+        row.counters)
+    ev
 
 (* ------------------------------------------------------------------ *)
 (* Traffic helpers.  All loops are bounded (message counts, not wall
@@ -147,7 +135,8 @@ let sender net ~rng ~from ~to_ ~count ~min_size ~max_size ~gap_us ~port =
 type template = {
   tp_name : string;
   tp_descr : string;
-  tp_run : quick:bool -> seed:int -> row list -> unit;
+  tp_run : quick:bool -> seed:int -> row list -> Net.t list;
+      (* the simulations whose counters the trial's evidence reads *)
 }
 
 let scale ~quick n = if quick then max 1 (n / 4) else n
@@ -166,7 +155,7 @@ let snappy_params =
    crashes mid-stream and reboots after a downtime, so peers must declare
    its channels dead, reject its pre-crash stragglers by epoch, and
    re-establish when traffic resumes. *)
-let crash_reboot ~quick ~seed ev =
+let crash_reboot ~quick ~seed _ev =
   let config = { Node.default_config with clic_params = snappy_params } in
   let net = Net.create ~config ~n:3 () in
   let rng = Rng.create ~seed in
@@ -179,17 +168,16 @@ let crash_reboot ~quick ~seed ev =
   Process.spawn net.Net.sim (fun () ->
       Process.delay (Time.us 900.);
       Node.crash victim;
-      bank_boot ev victim;  (* the dead boot's objects are replaced below *)
       Process.delay (Time.us 700.);
       Node.reboot victim);
   Net.run net;
-  bank_final ev net
+  [ net ]
 
 (* 2. Pool crunch: a tiny kernel pool with a large transmit window, so
    ring-full staging races past the soft and hard watermarks — advertised
    windows shrink, ack batching stretches, and at the hard mark the NIC
    sheds ingress frames, which retransmission must then cover. *)
-let pool_crunch ~quick ~seed ev =
+let pool_crunch ~quick ~seed _ev =
   let clic_params =
     {
       snappy_params with
@@ -213,13 +201,13 @@ let pool_crunch ~quick ~seed ev =
   sender net ~rng:(Rng.split rng) ~from:2 ~to_:0 ~count ~min_size:2048
     ~max_size:8192 ~gap_us:5. ~port:81;
   Net.run net;
-  bank_final ev net
+  [ net ]
 
 (* 3. Interrupt storm: per-packet interrupts (no coalescing) under
    back-to-back small messages; the NAPI-enabled driver must cross its
    hot-IRQ threshold, switch to budgeted polling, and fall back to
    interrupts when the ring drains. *)
-let irq_storm ~quick ~seed ev =
+let irq_storm ~quick ~seed _ev =
   let driver_params =
     {
       Driver.default_params with
@@ -244,13 +232,13 @@ let irq_storm ~quick ~seed ev =
   sender net ~rng:(Rng.split rng) ~from:1 ~to_:0 ~count ~min_size:512
     ~max_size:1024 ~gap_us:2. ~port:82;
   Net.run net;
-  bank_final ev net
+  [ net ]
 
 (* 4. Faulty mesh: every link carries composed weather — independent
    loss, duplication, reordering jitter and frame corruption (FCS drops
    at the MAC) — under all-to-all traffic, plus one crash/reboot cycle,
    because faults compose. *)
-let faults_mesh ~quick ~seed ev =
+let faults_mesh ~quick ~seed _ev =
   let fault_rng = Rng.create ~seed:(seed lxor 0x5A5A) in
   let mk_fault () =
     let rng = Rng.split fault_rng in
@@ -283,11 +271,10 @@ let faults_mesh ~quick ~seed ev =
   Process.spawn net.Net.sim (fun () ->
       Process.delay (Time.us 1500.);
       Node.crash victim;
-      bank_boot ev victim;
       Process.delay (Time.us 900.);
       Node.reboot victim);
   Net.run net;
-  bank_final ev net
+  [ net ]
 
 (* 5. Incast storm: an N->1 stampede through the shared-buffer switch,
    once with 802.3x PAUSE end to end (the fabric must hold senders off
@@ -295,7 +282,7 @@ let faults_mesh ~quick ~seed ev =
    (whose bounded FIFOs must shed load that retransmission then covers).
    Both halves run under the full monitor set, so a PAUSE deadlock, a
    buffer-ledger leak or a drop on the protected fabric fails loudly. *)
-let incast_storm ~quick ~seed ev =
+let incast_storm ~quick ~seed _ev =
   let one ~pause ~seed =
     let config = Report.Figures.incast_config ~pause in
     let net = Net.create ~config ~n:5 () in
@@ -306,10 +293,9 @@ let incast_storm ~quick ~seed ev =
         ~max_size:8192 ~gap_us:5. ~port:84
     done;
     Net.run net;
-    bank_final ev net
+    net
   in
-  one ~pause:true ~seed;
-  one ~pause:false ~seed:(seed lxor 0x3C3C)
+  [ one ~pause:true ~seed; one ~pause:false ~seed:(seed lxor 0x3C3C) ]
 
 (* 6. Fabric cut: cross-rack traffic over a 2-spine leaf/spine fabric
    with ECMP; one spine dies mid-run (ports drain, routes recompile onto
@@ -347,11 +333,10 @@ let fabric_cut ~quick ~seed ev =
   Process.spawn net.Net.sim (fun () ->
       Process.delay (Time.us 1200.);
       Node.crash victim;
-      bank_boot ev victim;
       Process.delay (Time.us 700.);
       Node.reboot victim);
   Net.run net;
-  bank_final ev net
+  [ net ]
 
 (* 7. ECN collapse: the incast stampede again, but on the ECN-provisioned
    fabric — uncapped egress, CE marking above the shared-buffer threshold,
@@ -363,7 +348,7 @@ let fabric_cut ~quick ~seed ev =
    never gives the SACK machinery a hole to advertise — that half is where
    the sacked-segment evidence (and the no-spurious-retransmit monitor's
    workout) comes from. *)
-let ecn_collapse ~quick ~seed ev =
+let ecn_collapse ~quick ~seed _ev =
   let stampede ~scheme ~seed =
     let config = Report.Figures.congestion_config ~regime:`Ecn ~scheme in
     let net = Net.create ~config ~n:5 () in
@@ -374,10 +359,10 @@ let ecn_collapse ~quick ~seed ev =
         ~max_size:8192 ~gap_us:5. ~port:86
     done;
     Net.run net;
-    bank_final ev net
+    net
   in
-  stampede ~scheme:`Go_back_n ~seed;
-  stampede ~scheme:`Sack ~seed:(seed lxor 0x6A6A);
+  let gbn = stampede ~scheme:`Go_back_n ~seed in
+  let sack = stampede ~scheme:`Sack ~seed:(seed lxor 0x6A6A) in
   let fault_rng = Rng.create ~seed:(seed lxor 0x1B1B) in
   let mk_fault () =
     Fault.gilbert_elliott ~rng:(Rng.split fault_rng) ~p_good_to_bad:0.01
@@ -397,7 +382,7 @@ let ecn_collapse ~quick ~seed ev =
   sender net ~rng:(Rng.split rng) ~from:0 ~to_:1 ~count ~min_size:2048
     ~max_size:8192 ~gap_us:10. ~port:87;
   Net.run net;
-  bank_final ev net
+  [ gbn; sack; net ]
 
 (* 8. Gray soak: open-loop request-response traffic across a fail-slow
    window — every link sags to a fifth of its rate, two NICs serve 5x
@@ -407,16 +392,11 @@ let ecn_collapse ~quick ~seed ev =
    engaged"; a stranded request is a harness failure. *)
 let gray_soak ~quick ~seed ev =
   let from_ = Time.us 400. and until_ = Time.ms 3. in
-  let faults = ref [] in
   let config =
     {
       Node.default_config with
       link_fault =
-        Some
-          (fun () ->
-            let f = Fault.brownout ~fraction:0.2 ~from_ ~until_ () in
-            faults := f :: !faults;
-            f);
+        Some (fun () -> Fault.brownout ~fraction:0.2 ~from_ ~until_ ());
     }
   in
   let net = Net.create ~config ~n:4 () in
@@ -435,20 +415,7 @@ let gray_soak ~quick ~seed ev =
       (Printf.sprintf "gray-soak: %d open-loop request(s) stranded"
          slo.Workload.slo_stranded);
   add ev "open-loop requests answered (gray)" slo.Workload.slo_completed;
-  List.iter
-    (fun f -> add ev "frames slowed by link brownouts" (Fault.slowed f))
-    !faults;
-  Array.iter
-    (fun node ->
-      List.iter
-        (fun nic ->
-          add ev "NIC fail-slow service added (ns)" (Nic.slow_extra_ns nic))
-        node.Node.nics)
-    net.Net.nodes;
-  List.iter
-    (fun sw -> add ev "egress pump time stalled (ns)" (Switch.egress_stall_ns sw))
-    net.Net.switches;
-  bank_final ev net
+  [ net ]
 
 let templates =
   [
@@ -521,7 +488,18 @@ let missing_evidence r =
   if not r.s_full_set then []
   else
     List.filter_map
-      (fun row -> if row.count > 0 then None else row.demand)
+      (fun row ->
+        match row.demand with
+        | Some demand when row.count = 0 ->
+            (* counters only grow, so each of a zero row's reads 0 *)
+            Some
+              (match row.counters with
+              | [] -> demand
+              | names ->
+                  Printf.sprintf "%s (%s)" demand
+                    (String.concat ", "
+                       (List.map (fun n -> n ^ " = 0") names)))
+        | _ -> None)
       r.s_evidence
 
 let ok ?(require_evidence = true) r =
@@ -534,6 +512,7 @@ let ok ?(require_evidence = true) r =
    `check` command's job; the soak's axis is schedule breadth). *)
 let run_trial (tp : template) ~quick ~seed ev =
   let r = Passes.run ~leak_check:true (fun () -> tp.tp_run ~quick ~seed ev) in
+  Option.iter (List.iter (fun net -> read_counters ev net.Net.sim)) r.result;
   {
     tr_template = tp.tp_name;
     tr_seed = seed;

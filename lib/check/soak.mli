@@ -13,12 +13,16 @@
 
 type row = {
   label : string;  (** as printed: ["node crashes"] *)
+  counters : string list;
+      (** the {!Engine.Counters} names whose totals the row sums over
+          every simulation of every trial, read when each trial ends;
+          [[]] for a row its template feeds directly *)
   demand : string option;
       (** the complaint when the full template set ran and [count] is
           still 0; [None] for rows reported but not demanded *)
   mutable count : int;
 }
-(** One evidence counter, summed over every trial of a run. *)
+(** One evidence row, summed over every trial of a run. *)
 
 type trial_result = {
   tr_template : string;
@@ -61,7 +65,9 @@ val violations : report -> Violation.t list
 
 val missing_evidence : report -> string list
 (** The [demand] of every demanded row whose count is still 0, in table
-    order; empty when the soak exercised everything it promises. *)
+    order, followed by the counters that convicted it:
+    ["no frame was ever CE-marked (switch.ecn_marked = 0)"].  Empty when
+    the soak exercised everything it promises. *)
 
 val ok : ?require_evidence:bool -> report -> bool
 (** No violations, no harness crashes and (unless [require_evidence] is

@@ -7,6 +7,60 @@ module Log = (val Logs.src_log log_src : Logs.LOG)
 
 exception Dead of int
 
+(* Event counts, shared by every channel of one owner: the record outlives
+   each channel, so a torn-down channel's counts stay in its owner's
+   totals.  [scope] is the owner's; a channel's own [delivered] count
+   registers under [<scope>><peer>]. *)
+type counters = {
+  scope : string;
+  mutable retransmissions : int;
+  mutable rtt_samples : int;
+  mutable timeouts : int;
+  mutable fast_retransmits : int;
+  mutable sacked_segments : int;
+  mutable retx_bytes : int;
+  mutable retx_bytes_saved : int;
+  mutable ce_echoes : int;
+  mutable ce_marks_rx : int;
+  mutable duplicates : int;
+  mutable acks_deferred : int;
+}
+
+let getters =
+  [
+    ("channel.retransmissions", fun k -> k.retransmissions);
+    ("channel.rtt_samples", fun k -> k.rtt_samples);
+    ("channel.timeouts", fun k -> k.timeouts);
+    ("channel.fast_retransmits", fun k -> k.fast_retransmits);
+    ("channel.sacked_segments", fun k -> k.sacked_segments);
+    ("channel.retx_bytes", fun k -> k.retx_bytes);
+    ("channel.retx_bytes_saved", fun k -> k.retx_bytes_saved);
+    ("channel.ce_echoes", fun k -> k.ce_echoes);
+    ("channel.ce_marks_rx", fun k -> k.ce_marks_rx);
+    ("channel.duplicates_dropped", fun k -> k.duplicates);
+    ("channel.acks_deferred", fun k -> k.acks_deferred);
+  ]
+
+let counters sim ~scope =
+  let k =
+    {
+      scope;
+      retransmissions = 0;
+      rtt_samples = 0;
+      timeouts = 0;
+      fast_retransmits = 0;
+      sacked_segments = 0;
+      retx_bytes = 0;
+      retx_bytes_saved = 0;
+      ce_echoes = 0;
+      ce_marks_rx = 0;
+      duplicates = 0;
+      acks_deferred = 0;
+    }
+  in
+  Counters.register sim ~scope getters k;
+  k
+
 type t = {
   sim : Sim.t;
   uid : int;  (* process-unique: Gamma and CLIC channels share node ids *)
@@ -14,6 +68,7 @@ type t = {
   peer : int;
   epoch : int;  (* our boot epoch, stamped into every packet we send *)
   params : Params.t;
+  k : counters;
   transmit : Wire.packet -> retransmission:bool -> unit;
   deliver : Wire.packet -> unit;
   send_ack : cum_seq:int -> sacks:(int * int) list -> ce_echo:bool -> unit;
@@ -32,7 +87,6 @@ type t = {
       (* first-transmission times; entries are removed on retransmission so
          only unambiguous packets yield RTT samples (Karn's algorithm) *)
   mutable rto_timer : Ktimer.t option;
-  mutable retransmissions : int;
   mutable retries : int;  (* consecutive timeouts without progress *)
   mutable dead : bool;
   (* adaptive RTO state (Jacobson/Karels, in float nanoseconds) *)
@@ -40,27 +94,19 @@ type t = {
   mutable rttvar : float;
   mutable rto : Time.span;  (* base RTO before backoff *)
   mutable backoff : int;  (* consecutive-timeout exponent *)
-  mutable rtt_samples : int;
-  mutable timeouts : int;
   (* fast retransmit *)
   mutable dup_acks : int;
   mutable last_fast_rtx : int;  (* hole already fast-retransmitted *)
-  mutable fast_retransmits : int;
   rto_stats : Stats.Summary.t;  (* effective RTO (us) at each arming *)
   on_death : unit -> unit;  (* owner notification, fired once at teardown *)
   (* selective retransmit (retx_scheme = `Sack) *)
   sacked : (int, unit) Hashtbl.t;
       (* outstanding sequences the peer has SACKed: skipped on RTO until
          the cumulative ack passes them (no reneging in this model) *)
-  mutable sacked_segments : int;
-  mutable retx_bytes : int;  (* wire bytes spent on retransmissions *)
-  mutable retx_bytes_saved : int;
-      (* wire bytes an RTO did not resend because the peer held them *)
   (* DCTCP congestion control (params.dctcp) *)
   mutable advertised : int;  (* peer's latest advertised window *)
   mutable cwnd : float;  (* congestion window, packets *)
   mutable dctcp_alpha : float;  (* EWMA fraction of CE-marked acks *)
-  mutable ce_echoes : int;  (* acks received with the CE-echo bit *)
   mutable acks_seen : int;  (* acks in the current observation window *)
   mutable ce_acked : int;  (* CE-echo acks in the current window *)
   mutable alpha_update_seq : int;  (* next alpha update once cum passes *)
@@ -69,72 +115,67 @@ type t = {
   mutable ooo : (int * Wire.packet) list;
   mutable unacked_rx : int;  (* delivered packets not yet acknowledged *)
   mutable ack_timer : Ktimer.t option;
-  mutable duplicates : int;
-  mutable delivered : int;
-  mutable acks_deferred : int;
   mutable ce_pending : bool;  (* CE seen since the last ack went out *)
-  mutable ce_marks_rx : int;  (* CE-marked packets received *)
+  mutable delivered : int;
 }
 
 let next_uid = ref 0
+let delivered t = t.delivered
 
-let create sim ~self ~peer ?(epoch = 0) ~params ~transmit ~deliver ~send_ack
-    ?defer_acks ?(on_death = fun () -> ()) () =
+let create sim ~self ~peer ?(epoch = 0) ~params ~counters:k ~transmit ~deliver
+    ~send_ack ?defer_acks ?(on_death = fun () -> ()) () =
   let uid = !next_uid in
   incr next_uid;
-  {
-    sim;
-    uid;
-    self;
-    peer;
-    epoch;
-    params;
-    transmit;
-    deliver;
-    send_ack;
-    defer_acks;
-    window = Semaphore.create params.Params.tx_window;
-    withheld = 0;
-    snd_nxt = 0;
-    snd_una = 0;
-    unacked = Hashtbl.create 64;
-    sent_at = Hashtbl.create 64;
-    rto_timer = None;
-    retransmissions = 0;
-    retries = 0;
-    dead = false;
-    srtt = None;
-    rttvar = 0.;
-    rto = params.Params.retransmit_timeout;
-    backoff = 0;
-    rtt_samples = 0;
-    timeouts = 0;
-    dup_acks = 0;
-    last_fast_rtx = -1;
-    fast_retransmits = 0;
-    rto_stats = Stats.Summary.create "rto_us";
-    on_death;
-    sacked = Hashtbl.create 16;
-    sacked_segments = 0;
-    retx_bytes = 0;
-    retx_bytes_saved = 0;
-    advertised = params.Params.tx_window;
-    cwnd = float_of_int params.Params.tx_window;
-    dctcp_alpha = 0.;
-    ce_echoes = 0;
-    acks_seen = 0;
-    ce_acked = 0;
-    alpha_update_seq = 0;
-    rcv_nxt = 0;
-    ooo = [];
-    unacked_rx = 0;
-    ack_timer = None;
-    duplicates = 0;
-    delivered = 0;
-    acks_deferred = 0;
-    ce_pending = false;
-    ce_marks_rx = 0;
-  }
+  let t =
+    {
+      sim;
+      uid;
+      self;
+      peer;
+      epoch;
+      params;
+      k;
+      transmit;
+      deliver;
+      send_ack;
+      defer_acks;
+      window = Semaphore.create params.Params.tx_window;
+      withheld = 0;
+      snd_nxt = 0;
+      snd_una = 0;
+      unacked = Hashtbl.create 64;
+      sent_at = Hashtbl.create 64;
+      rto_timer = None;
+      retries = 0;
+      dead = false;
+      srtt = None;
+      rttvar = 0.;
+      rto = params.Params.retransmit_timeout;
+      backoff = 0;
+      dup_acks = 0;
+      last_fast_rtx = -1;
+      rto_stats = Stats.Summary.create "rto_us";
+      on_death;
+      sacked = Hashtbl.create 16;
+      advertised = params.Params.tx_window;
+      cwnd = float_of_int params.Params.tx_window;
+      dctcp_alpha = 0.;
+      acks_seen = 0;
+      ce_acked = 0;
+      alpha_update_seq = 0;
+      rcv_nxt = 0;
+      ooo = [];
+      unacked_rx = 0;
+      ack_timer = None;
+      ce_pending = false;
+      delivered = 0;
+    }
+  in
+  Counters.register sim
+    ~scope:(k.scope ^ ">" ^ string_of_int peer)
+    [ ("channel.delivered", delivered) ]
+    t;
+  t
 
 let cancel_timer slot =
   match slot with Some timer -> Ktimer.cancel timer | None -> ()
@@ -170,7 +211,7 @@ let effective_rto t =
 (* Jacobson/Karels: SRTT and RTTVAR from each unambiguous sample; the base
    RTO decays back toward the smoothed RTT as fresh samples arrive. *)
 let note_rtt t sample =
-  t.rtt_samples <- t.rtt_samples + 1;
+  t.k.rtt_samples <- t.k.rtt_samples + 1;
   let s = float_of_int sample in
   (match t.srtt with
   | None ->
@@ -255,7 +296,7 @@ and on_rto t =
   else if t.snd_una < t.snd_nxt then begin
     let sack_mode = t.params.Params.retx_scheme = `Sack in
     t.retries <- t.retries + 1;
-    t.timeouts <- t.timeouts + 1;
+    t.k.timeouts <- t.k.timeouts + 1;
     t.backoff <- t.backoff + 1;
     Log.debug (fun m ->
         m "rto to peer %d: %s from seq %d (%d outstanding, retry %d, next \
@@ -269,13 +310,13 @@ and on_rto t =
       match Hashtbl.find_opt t.unacked seq with
       | Some pkt ->
           if sack_mode && Hashtbl.mem t.sacked seq then
-            t.retx_bytes_saved <-
-              t.retx_bytes_saved
+            t.k.retx_bytes_saved <-
+              t.k.retx_bytes_saved
               + Wire.wire_bytes ~header_bytes:t.params.Params.header_bytes pkt
           else begin
             Hashtbl.remove t.sent_at seq;
-            t.retx_bytes <-
-              t.retx_bytes
+            t.k.retx_bytes <-
+              t.k.retx_bytes
               + Wire.wire_bytes ~header_bytes:t.params.Params.header_bytes pkt;
             if !Probe.on then
               Probe.emit
@@ -286,7 +327,7 @@ and on_rto t =
       | None -> ()
     done;
     let seqs = List.rev !seqs in
-    t.retransmissions <- t.retransmissions + List.length seqs;
+    t.k.retransmissions <- t.k.retransmissions + List.length seqs;
     arm_rto t;
     Process.spawn t.sim (fun () ->
         List.iter (fun pkt -> t.transmit pkt ~retransmission:true) seqs)
@@ -319,10 +360,10 @@ let fast_retransmit t =
   | Some pkt ->
       t.last_fast_rtx <- t.snd_una;
       t.dup_acks <- 0;
-      t.fast_retransmits <- t.fast_retransmits + 1;
-      t.retransmissions <- t.retransmissions + 1;
-      t.retx_bytes <-
-        t.retx_bytes
+      t.k.fast_retransmits <- t.k.fast_retransmits + 1;
+      t.k.retransmissions <- t.k.retransmissions + 1;
+      t.k.retx_bytes <-
+        t.k.retx_bytes
         + Wire.wire_bytes ~header_bytes:t.params.Params.header_bytes pkt;
       if !Probe.on then
         Probe.emit
@@ -372,7 +413,7 @@ let dctcp_on_ack t ~ce_echo ~progressed cum_seq =
     t.acks_seen <- t.acks_seen + 1;
     if ce_echo then begin
       t.ce_acked <- t.ce_acked + 1;
-      t.ce_echoes <- t.ce_echoes + 1
+      t.k.ce_echoes <- t.k.ce_echoes + 1
     end;
     if progressed && not ce_echo then
       t.cwnd <-
@@ -409,7 +450,7 @@ let note_sacks t sacks =
           if Hashtbl.mem t.unacked seq && not (Hashtbl.mem t.sacked seq)
           then begin
             Hashtbl.replace t.sacked seq ();
-            t.sacked_segments <- t.sacked_segments + 1
+            t.k.sacked_segments <- t.k.sacked_segments + 1
           end
         done)
       sacks
@@ -534,7 +575,7 @@ let note_delivery t =
     else t.params.Params.ack_timeout
   in
   if defer && t.unacked_rx >= t.params.Params.ack_every && t.unacked_rx < every
-  then t.acks_deferred <- t.acks_deferred + 1;
+  then t.k.acks_deferred <- t.k.acks_deferred + 1;
   if t.unacked_rx >= every then schedule_ack_now t
   else if t.ack_timer = None then
     t.ack_timer <-
@@ -557,7 +598,7 @@ let rec drain_ooo t =
       (* A held copy the cumulative sequence has since passed: it is a
          duplicate like any other and must be counted as one. *)
       t.ooo <- rest;
-      t.duplicates <- t.duplicates + 1;
+      t.k.duplicates <- t.k.duplicates + 1;
       drain_ooo t
   | _ -> ()
 
@@ -572,7 +613,7 @@ let[@clic.atomic] rx t pkt =
              since the last ack makes the next ack echo it, duplicates
              included (a retransmitted copy crossing a hot queue is
              evidence of congestion too). *)
-          t.ce_marks_rx <- t.ce_marks_rx + 1;
+          t.k.ce_marks_rx <- t.k.ce_marks_rx + 1;
           t.ce_pending <- true
         end;
         if seq = t.rcv_nxt then begin
@@ -592,7 +633,7 @@ let[@clic.atomic] rx t pkt =
             in
             t.ooo <- ins t.ooo
           end
-          else t.duplicates <- t.duplicates + 1;
+          else t.k.duplicates <- t.k.duplicates + 1;
           (* Announce the hole so the sender can recover promptly: each of
              these immediate acks repeats the same cumulative sequence, and
              the sender's duplicate-ack counter turns them into a fast
@@ -600,26 +641,14 @@ let[@clic.atomic] rx t pkt =
           schedule_ack_now t
         end
         else begin
-          t.duplicates <- t.duplicates + 1;
+          t.k.duplicates <- t.k.duplicates + 1;
           schedule_ack_now t
         end
 
 let is_dead t = t.dead
 let outstanding t = t.snd_nxt - t.snd_una
-let sacked_segments t = t.sacked_segments
-let retx_bytes t = t.retx_bytes
-let retx_bytes_saved t = t.retx_bytes_saved
-let ce_echoes t = t.ce_echoes
-let ce_marks_rx t = t.ce_marks_rx
 let dctcp_alpha t = t.dctcp_alpha
 let cwnd t = effective_limit t
-let acks_deferred t = t.acks_deferred
-let retransmissions t = t.retransmissions
-let duplicates_dropped t = t.duplicates
-let delivered t = t.delivered
 let srtt t = Option.map (fun s -> int_of_float s) t.srtt
 let rto t = effective_rto t
-let rtt_samples t = t.rtt_samples
-let timeouts t = t.timeouts
-let fast_retransmits t = t.fast_retransmits
 let rto_stats t = t.rto_stats

@@ -40,12 +40,41 @@ exception Dead of int
     is considered unreachable.  Senders blocked on the transmit window at
     teardown time are woken and receive this exception too. *)
 
+type counters = private {
+  scope : string;  (** the owner's *)
+  mutable retransmissions : int;
+  mutable rtt_samples : int;  (** unambiguous RTT samples *)
+  mutable timeouts : int;  (** timer expiries that resent *)
+  mutable fast_retransmits : int;  (** holes resent on duplicate acks *)
+  mutable sacked_segments : int;
+  mutable retx_bytes : int;  (** wire bytes (header + payload) resent *)
+  mutable retx_bytes_saved : int;
+      (** bytes a timeout skipped because the peer had SACKed them *)
+  mutable ce_echoes : int;  (** CE-echo acks received *)
+  mutable ce_marks_rx : int;
+  mutable duplicates : int;
+  mutable acks_deferred : int;
+      (** acks batched late because the kernel pool was above its soft
+          watermark *)
+}
+(** The event counts of one owner's channels (a CLIC module's, a GAMMA
+    endpoint's).  Every channel of the owner adds into the same record,
+    which outlives them: a torn-down channel's counts stay in the owner's
+    totals. *)
+
+val counters : Sim.t -> scope:string -> counters
+(** A fresh record, registered in [sim]'s {!Engine.Counters} registry under
+    [scope] (the owner's own) as [channel.<field>], except [duplicates],
+    which is [channel.duplicates_dropped].  Each channel also registers
+    its own [channel.delivered] under ["<scope>><peer>"]. *)
+
 val create :
   Sim.t ->
   self:int ->
   peer:int ->
   ?epoch:int ->
   params:Params.t ->
+  counters:counters ->
   transmit:(Wire.packet -> retransmission:bool -> unit) ->
   deliver:(Wire.packet -> unit) ->
   send_ack:(cum_seq:int -> sacks:(int * int) list -> ce_echo:bool -> unit) ->
@@ -107,31 +136,8 @@ val is_dead : t -> bool
 
 val outstanding : t -> int
 
-val acks_deferred : t -> int
-(** Ack transmissions pushed past the normal batch boundary because the
-    kernel pool was above its soft watermark. *)
-
-val retransmissions : t -> int
-val duplicates_dropped : t -> int
 val delivered : t -> int
-
-val sacked_segments : t -> int
-(** Outstanding segments the peer's SACK blocks marked as held (counted
-    once per segment). *)
-
-val retx_bytes : t -> int
-(** Wire bytes (CLIC header + payload) spent on retransmissions — the
-    quantity the SACK-vs-go-back-N comparison measures. *)
-
-val retx_bytes_saved : t -> int
-(** Wire bytes timeouts did {e not} resend because the peer had SACKed
-    the segment. *)
-
-val ce_echoes : t -> int
-(** Acks received carrying the CE-echo bit (sender side). *)
-
-val ce_marks_rx : t -> int
-(** CE-marked packets received (receiver side). *)
+(** The registered getter of this channel's [channel.delivered]. *)
 
 val dctcp_alpha : t -> float
 (** The DCTCP EWMA estimate of the marked-ack fraction; 0 until marks
@@ -147,15 +153,6 @@ val srtt : t -> Time.span option
 val rto : t -> Time.span
 (** The retransmission timeout that would be armed now, including any
     exponential backoff from consecutive timeouts. *)
-
-val rtt_samples : t -> int
-(** Unambiguous RTT measurements folded into the estimator. *)
-
-val timeouts : t -> int
-(** Retransmission-timer expiries that caused a go-back-N resend. *)
-
-val fast_retransmits : t -> int
-(** Holes resent on duplicate acks without waiting for the timer. *)
 
 val rto_stats : t -> Stats.Summary.t
 (** Distribution (in microseconds) of the effective RTO at each arming of

@@ -51,7 +51,9 @@ type t = {
   backlog : staged_tx Queue.t;
   mutable draining : bool;
   mutable shut_down : bool;
-  (* statistics *)
+  (* statistics; [chan_counts] takes every channel's, torn-down ones
+     included *)
+  chan_counts : Channel.counters;
   mutable messages_delivered : int;
   mutable packets_sent : int;
   mutable packets_staged : int;
@@ -288,7 +290,7 @@ let rec get_channel t peer =
       | None -> ());
       let chan =
         Channel.create (sim t) ~self:(node t) ~peer ~epoch:t.epoch
-          ~params:t.p
+          ~params:t.p ~counters:t.chan_counts
           ~transmit:(fun pkt ~retransmission ->
             transmit_packet t ~dst:(Mac.of_node peer)
               ~staged:retransmission pkt)
@@ -492,10 +494,25 @@ let[@clic.atomic] rx t (desc : Nic.rx_desc) =
 (* ------------------------------------------------------------------ *)
 (* Construction *)
 
+let packets_sent t = t.packets_sent
+
+let counters =
+  [
+    ("clic.messages_delivered", fun t -> t.messages_delivered);
+    ("clic.packets_sent", packets_sent);
+    ("clic.packets_staged", fun t -> t.packets_staged);
+    ("clic.local_messages", fun t -> t.local_msgs);
+    ("clic.stale_epoch_drops", fun t -> t.stale_epoch_drops);
+    ("clic.peer_reboots", fun t -> t.peer_reboots);
+    ("clic.reestablishments", fun t -> t.reestablishments);
+  ]
+
 let create env ?(params = Params.default) ?(epoch = 0) eths =
   if eths = [] then invalid_arg "Clic_module.create: no ethernet attachments";
   if epoch < 0 then invalid_arg "Clic_module.create: negative epoch";
   let params = Params.validate params in
+  let sim = env.Hostenv.sim in
+  let scope = env.Hostenv.name ^ ".clic" in
   let t =
     {
       env;
@@ -513,6 +530,7 @@ let create env ?(params = Params.default) ?(epoch = 0) eths =
       backlog = Queue.create ();
       draining = false;
       shut_down = false;
+      chan_counts = Channel.counters sim ~scope;
       messages_delivered = 0;
       packets_sent = 0;
       packets_staged = 0;
@@ -522,6 +540,7 @@ let create env ?(params = Params.default) ?(epoch = 0) eths =
       reestablishments = 0;
     }
   in
+  Counters.register sim ~scope counters t;
   List.iter
     (fun eth -> Ethernet.register eth ~ethertype:Wire.ethertype (rx t))
     eths;
@@ -699,37 +718,8 @@ let region_bytes t ~region =
   | Some (count, _) -> !count
   | None -> 0
 
-let messages_delivered t = t.messages_delivered
-let packets_sent t = t.packets_sent
-let packets_staged t = t.packets_staged
-let local_messages t = t.local_msgs
+let retransmissions t = t.chan_counts.Channel.retransmissions
+let retx_bytes t = t.chan_counts.Channel.retx_bytes
 let epoch t = t.epoch
-let stale_epoch_drops t = t.stale_epoch_drops
-let peer_reboots t = t.peer_reboots
-let reestablishments t = t.reestablishments
 let advertised_window t = advertised_window_of t
-
-let acks_deferred t =
-  Hashtbl.fold (fun _ c acc -> acc + Channel.acks_deferred c) t.channels 0
-let retransmissions t =
-  Hashtbl.fold (fun _ c acc -> acc + Channel.retransmissions c) t.channels 0
-
-let timeouts t =
-  Hashtbl.fold (fun _ c acc -> acc + Channel.timeouts c) t.channels 0
-
-let fast_retransmits t =
-  Hashtbl.fold (fun _ c acc -> acc + Channel.fast_retransmits c) t.channels 0
-
-let sacked_segments t =
-  Hashtbl.fold (fun _ c acc -> acc + Channel.sacked_segments c) t.channels 0
-
-let retx_bytes t =
-  Hashtbl.fold (fun _ c acc -> acc + Channel.retx_bytes c) t.channels 0
-
-let retx_bytes_saved t =
-  Hashtbl.fold (fun _ c acc -> acc + Channel.retx_bytes_saved c) t.channels 0
-
-let ce_echoes t =
-  Hashtbl.fold (fun _ c acc -> acc + Channel.ce_echoes c) t.channels 0
-
 let channel_to t ~peer = Hashtbl.find_opt t.channels peer

@@ -92,60 +92,33 @@ val register_region : t -> region:int -> (bytes:int -> src:int -> unit) -> unit
 
 val region_bytes : t -> region:int -> int
 
-(** {1 Statistics} *)
+(** {1 Statistics}
 
-val messages_delivered : t -> int
+    Counters, under the scope ["node<id>.clic"] (["node<id>.clic#1"] for
+    the next boot's kernel): [clic.messages_delivered],
+    [clic.packets_sent], [clic.local_messages], [clic.packets_staged]
+    (found the ring full), [clic.stale_epoch_drops] (frames from an older
+    epoch than the sender's newest), [clic.peer_reboots] (a known peer
+    showed a newer epoch), [clic.reestablishments] (channels re-created
+    after a teardown), and every channel's [channel.*] counts
+    ({!Channel.counters}), torn-down channels included. *)
+
 val packets_sent : t -> int
-val packets_staged : t -> int
-(** Packets that found the ring full and were staged in system memory. *)
+(** The registered getter of [clic.packets_sent]. *)
 
-val local_messages : t -> int
 val retransmissions : t -> int
-
-val timeouts : t -> int
-(** Retransmission-timer expiries summed over all channels. *)
-
-val fast_retransmits : t -> int
-(** Duplicate-ack hole resends summed over all channels. *)
-
-val sacked_segments : t -> int
-(** Outstanding segments marked held by peers' SACK blocks, summed over
-    all channels. *)
+(** [channel.retransmissions] of the module's {!Channel.counters}. *)
 
 val retx_bytes : t -> int
-(** Wire bytes spent on retransmissions, summed over all channels. *)
-
-val retx_bytes_saved : t -> int
-(** Wire bytes timeouts skipped thanks to SACK, summed over all
-    channels. *)
-
-val ce_echoes : t -> int
-(** Acks received with the CE-echo bit, summed over all channels. *)
+(** [channel.retx_bytes] of the module's {!Channel.counters}. *)
 
 val channel_to : t -> peer:int -> Channel.t option
 
 val epoch : t -> int
 (** This kernel's boot epoch. *)
 
-val stale_epoch_drops : t -> int
-(** Frames discarded because they carried an older epoch than the newest
-    seen from their sender (pre-crash stragglers). *)
-
-val peer_reboots : t -> int
-(** Times a frame with a strictly newer epoch arrived from a known peer:
-    the peer crashed and rebooted, so its old channel and half-reassembled
-    messages were discarded. *)
-
-val reestablishments : t -> int
-(** Channels re-created after a teardown (peer declared unreachable or
-    rebooted) because traffic to/from the peer resumed. *)
-
 val advertised_window : t -> int
 (** The transmit window this node currently advertises to peers, shrunk
     below {!Params.tx_window} while the kernel pool is above its soft
     ({!Params.soft_window_frac} of the window) or hard (single packet)
     watermark. *)
-
-val acks_deferred : t -> int
-(** Ack transmissions pushed past the normal batch boundary under pool
-    pressure, summed over all channels. *)

@@ -193,31 +193,36 @@ let create sim ~id ~switches (config : config) =
   let env, nics, eths, intr, ip, tcp, udp, clic =
     boot sim ~id ~switches ~epoch:0 ~cpu ~membus ~pci_for config
   in
-  {
-    id;
-    config;
-    switches;
-    cpu_ = cpu;
-    membus;
-    pci_for;
-    env;
-    nics;
-    eths;
-    intr;
-    ip;
-    tcp;
-    udp;
-    clic;
-    epoch = 0;
-    up = true;
-    crashes = 0;
-  }
+  let t =
+    {
+      id;
+      config;
+      switches;
+      cpu_ = cpu;
+      membus;
+      pci_for;
+      env;
+      nics;
+      eths;
+      intr;
+      ip;
+      tcp;
+      udp;
+      clic;
+      epoch = 0;
+      up = true;
+      crashes = 0;
+    }
+  in
+  Counters.register sim ~scope:env.Hostenv.name
+    [ ("node.crashes", fun t -> t.crashes) ]
+    t;
+  t
 
 let cpu t = t.env.Hostenv.cpu
 let spawn t f = Process.spawn t.env.Hostenv.sim f
 let is_up t = t.up
 let epoch t = t.epoch
-let crashes t = t.crashes
 
 (* A crash is instantaneous: the kernel's protocol state is discarded
    (channels torn down, staged backlog returned to the pool so its

@@ -73,7 +73,9 @@ type t = {
 
 val create : Sim.t -> id:int -> switches:Switch.t list -> config -> t
 (** Wires NIC [k] to [List.nth switches k]; the switches list must be at
-    least [config.nics] long and ports for [id] must already exist. *)
+    least [config.nics] long and ports for [id] must already exist.
+    Registers [node.crashes] under the scope ["node<id>"]; each boot's
+    kernel objects register their own counters. *)
 
 val cpu : t -> Cpu.t
 val spawn : t -> (unit -> unit) -> unit
@@ -101,4 +103,3 @@ val reboot : t -> unit
 
 val is_up : t -> bool
 val epoch : t -> int
-val crashes : t -> int

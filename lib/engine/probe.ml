@@ -111,8 +111,6 @@ let sinks : (event -> unit) list ref = ref []
    polymorphic comparison — when nothing is listening (the common case). *)
 let on = ref false
 
-let enabled () = !on
-
 (* Outer sinks first, so nesting a collector changes nothing the outer
    sink observes. *)
 let rec fan_out ev = function

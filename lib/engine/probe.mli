@@ -5,9 +5,9 @@
     checker in [lib/check] installs a sink for the duration of a scenario
     run, and sinks nest, so a collector installed inside that run sees the
     same events.  Emission sites should guard event construction with
-    {!enabled} so that the disabled path does not allocate:
+    {!on} so that the disabled path does not allocate:
 
-    {[ if Probe.enabled () then Probe.emit (Probe.Clock { now }) ]} *)
+    {[ if !Probe.on then Probe.emit (Probe.Clock { now }) ]} *)
 
 type owner =
   | App  (** user memory / the application side *)
@@ -172,9 +172,6 @@ val on : bool ref
     [if !Probe.on then Probe.emit ...] — so an uninstrumented run pays one
     load-and-test per site instead of an option dereference.  Treat as
     read-only: it is maintained by {!install}/{!uninstall}. *)
-
-val enabled : unit -> bool
-(** [!on], for call sites off the hot path. *)
 
 val emit : event -> unit
 

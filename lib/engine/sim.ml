@@ -48,6 +48,8 @@ type t = {
   mutable next_seq : int;
   mutable executed : int;
   mutable live : int; (* scheduled and not cancelled/fired *)
+  counters : (string * (string -> int option)) list ref;
+      (* {!Counters}' storage, newest first *)
 }
 
 (* [hcancelled] mirrors the successful-cancel outcome so {!is_cancelled}
@@ -274,6 +276,7 @@ let create ?tie_break () =
     next_seq = 0;
     executed = 0;
     live = 0;
+    counters = ref [];
   }
 
 let now sim = sim.clock
@@ -422,3 +425,4 @@ let run_until sim ~limit =
 
 let pending sim = sim.live
 let events_executed sim = sim.executed
+let counters sim = sim.counters

@@ -85,6 +85,11 @@ val pending : t -> int
 val events_executed : t -> int
 (** Total count of events fired since creation. *)
 
+val counters : t -> (string * (string -> int option)) list ref
+(** The storage of {!Counters}, this simulator's named-counter registry:
+    one (scope, read-by-name) pair per registered object, newest first.
+    Read and write it only through that module. *)
+
 val global_events_executed : unit -> int
 (** Process-wide total of events fired across {e all} simulators ever
     created.  Scenario benchmarks use the delta across a run to compute

@@ -178,27 +178,17 @@ let rec stage_copy t ~now ~ser =
 
 let frame t ~now ?(ser = 0) () = stage_copy t ~now ~ser
 
-let rec drops t =
+(* A composed fault's counts are its stages' sums. *)
+let rec sum field t =
   match t.kind with
-  | Compose stages -> List.fold_left (fun acc s -> acc + drops s) 0 stages
-  | _ -> t.drops
+  | Compose stages -> List.fold_left (fun acc s -> acc + sum field s) 0 stages
+  | _ -> field t
 
-let rec duplicates t =
-  match t.kind with
-  | Compose stages -> List.fold_left (fun acc s -> acc + duplicates s) 0 stages
-  | _ -> t.duplicates
-
-let rec corruptions t =
-  match t.kind with
-  | Compose stages -> List.fold_left (fun acc s -> acc + corruptions s) 0 stages
-  | _ -> t.corruptions
-
-let rec slowed t =
-  match t.kind with
-  | Compose stages -> List.fold_left (fun acc s -> acc + slowed s) 0 stages
-  | _ -> t.slowed
-
-let rec slow_ns t =
-  match t.kind with
-  | Compose stages -> List.fold_left (fun acc s -> acc + slow_ns s) 0 stages
-  | _ -> t.slow_ns
+let counters =
+  [
+    ("fault.drops", sum (fun t -> t.drops));
+    ("fault.duplicates", sum (fun t -> t.duplicates));
+    ("fault.corruptions", sum (fun t -> t.corruptions));
+    ("fault.slowed", sum (fun t -> t.slowed));
+    ("fault.slow_ns", sum (fun t -> t.slow_ns));
+  ]

@@ -100,19 +100,10 @@ val frame : t -> now:Time.t -> ?ser:Time.span -> unit -> copy list
     stages ({!brownout}) scale their extra service from.  Stateful: call
     exactly once per frame. *)
 
-val drops : t -> int
-(** Frames dropped so far (summed over composed stages). *)
-
-val duplicates : t -> int
-(** Extra copies injected so far (summed over composed stages). *)
-
-val corruptions : t -> int
-(** Frames whose bits were flipped so far (summed over composed stages). *)
-
-val slowed : t -> int
-(** Frames delayed by a {!brownout} so far (summed over composed
-    stages). *)
-
-val slow_ns : t -> int
-(** Total extra nanoseconds {!brownout} stages have injected (summed over
-    composed stages). *)
+val counters : (string * (t -> int)) list
+(** Getters for {!Engine.Counters}, each summed over composed stages:
+    [fault.drops] (frames dropped), [fault.duplicates] (extra copies
+    injected), [fault.corruptions] (frames whose bits were flipped),
+    [fault.slowed] (frames a {!brownout} delayed) and [fault.slow_ns] (the
+    extra nanoseconds it injected).  A {!Link} registers them under its
+    own scope. *)

@@ -17,28 +17,37 @@ type t = {
   mutable frames_dropped : int;
 }
 
+let counters =
+  ("link.frames_sent", fun t -> t.frames_sent)
+  :: ("link.frames_dropped", fun t -> t.frames_dropped)
+  :: List.map (fun (name, get) -> (name, fun t -> get t.fault)) Fault.counters
+
 let create sim ~name ~bits_per_s ?(propagation = Time.ns 500)
     ?(fault = Fault.none) ?queue_limit () =
   if bits_per_s <= 0. then invalid_arg "Link.create: rate <= 0";
   (match queue_limit with
   | Some n when n <= 0 -> invalid_arg "Link.create: queue_limit <= 0"
   | _ -> ());
-  {
-    sim;
-    name;
-    bits_per_s;
-    propagation;
-    fault;
-    queue_limit;
-    queue = Queue.create ();
-    transmitting = false;
-    receiver = None;
-    on_tx_complete = None;
-    on_drop = None;
-    room_waiters = Queue.create ();
-    frames_sent = 0;
-    frames_dropped = 0;
-  }
+  let t =
+    {
+      sim;
+      name;
+      bits_per_s;
+      propagation;
+      fault;
+      queue_limit;
+      queue = Queue.create ();
+      transmitting = false;
+      receiver = None;
+      on_tx_complete = None;
+      on_drop = None;
+      room_waiters = Queue.create ();
+      frames_sent = 0;
+      frames_dropped = 0;
+    }
+  in
+  Counters.register sim ~scope:name counters t;
+  t
 
 let connect t receiver =
   if t.receiver <> None then invalid_arg "Link.connect: receiver already set";
@@ -146,6 +155,4 @@ let send t frame =
   end
 
 let bits_per_s t = t.bits_per_s
-let frames_sent t = t.frames_sent
-let frames_dropped t = t.frames_dropped + Fault.drops t.fault
 let queue_depth t = Queue.length t.queue

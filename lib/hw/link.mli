@@ -23,7 +23,12 @@ val create :
     egress buffer): frames arriving at a full queue are dropped and
     counted.  Unbounded by default.  [fault] disturbs frames after the
     propagation delay: drops, bursty loss, duplication, delay jitter and
-    link flaps per {!Fault}. *)
+    link flaps per {!Fault}.
+
+    Counters, under the scope [name]: [link.frames_sent] (frames
+    serialized), [link.frames_dropped] (queue-full and receiver-less
+    drops) and the fault's [fault.*] ([fault.drops]: the frames it
+    dropped). *)
 
 val connect : t -> (Eth_frame.t -> unit) -> unit
 (** Installs the receiver.  Frames delivered before a receiver is connected
@@ -61,8 +66,6 @@ val serialization_time : t -> Eth_frame.t -> Engine.Time.span
 (** Uncontended wire occupancy of one frame. *)
 
 val bits_per_s : t -> float
-val frames_sent : t -> int
-val frames_dropped : t -> int
 
 val queue_depth : t -> int
 (** Frames waiting behind the one being serialized. *)

@@ -475,6 +475,25 @@ let power_on t =
 
 (* --------------------------------------------------------------- *)
 
+let tx_packets t = t.tx_packets
+
+let counters =
+  [
+    ("nic.interrupts_raised", fun t -> t.interrupts_raised);
+    ("nic.tx_packets", tx_packets);
+    ("nic.rx_packets", fun t -> t.rx_packets);
+    ("nic.rx_dropped", fun t -> t.rx_dropped);
+    ("nic.rx_dropped_mem", fun t -> t.rx_dropped_mem);
+    ("nic.bad_fcs", fun t -> t.bad_fcs);
+    ( "nic.tx_paused_ns",
+      fun t ->
+        t.tx_paused_acc
+        + if t.tx_paused then Sim.now t.sim - t.pause_started else 0 );
+    ("nic.pause_frames_rx", fun t -> t.pause_frames_rx);
+    ("nic.pause_frames_tx", fun t -> t.pause_frames_tx);
+    ("nic.slow_extra_ns", fun t -> t.slow_extra_ns);
+  ]
+
 let create sim ~name ~mtu ~pci ~membus ?(tx_ring = 64) ?(rx_ring = 128)
     ?(coalesce = default_coalesce) ?(internal_bytes_per_s = 400e6)
     ?(firmware_per_frame = Time.ns 800) ?(fragmentation = false) ?pause () =
@@ -534,6 +553,7 @@ let create sim ~name ~mtu ~pci ~membus ?(tx_ring = 64) ?(rx_ring = 128)
       pause_frames_tx = 0;
     }
   in
+  Counters.register sim ~scope:name counters t;
   Process.spawn sim (tx_dma_pump t);
   Process.spawn sim (tx_phy_pump t);
   Process.spawn sim (rx_pump t);
@@ -610,22 +630,9 @@ let name t = t.name
 let mtu t = t.mtu
 let pci t = t.pci
 let is_down t = t.down
-let interrupts_raised t = t.interrupts_raised
-let tx_packets t = t.tx_packets
-let rx_packets t = t.rx_packets
-let rx_dropped t = t.rx_dropped
-let rx_dropped_mem t = t.rx_dropped_mem
-let bad_fcs t = t.bad_fcs
 let tx_ring_free t = Semaphore.available t.tx_slots
 let rx_pending t = Queue.length t.pending
 let is_tx_paused t = t.tx_paused
-
-let tx_paused_ns t =
-  t.tx_paused_acc
-  + if t.tx_paused then Sim.now t.sim - t.pause_started else 0
-
-let pause_frames_rx t = t.pause_frames_rx
-let pause_frames_tx t = t.pause_frames_tx
 
 let set_slow_factor t factor =
   if factor < 1.0 then invalid_arg "Nic.set_slow_factor: factor < 1";
@@ -638,4 +645,3 @@ let set_slow_factor t factor =
   end
 
 let slow_factor t = t.slow_factor
-let slow_extra_ns t = t.slow_extra_ns

@@ -92,6 +92,15 @@ val create :
 (** [pause] enables 802.3x flow control (absent by default: a legacy MAC
     that ignores MAC-control frames' pause semantics and never blocks on
     the wire).
+
+    Counters, under the scope [name] (["name#1"] for a rebooted node's
+    NIC): [nic.interrupts_raised], [nic.tx_packets], [nic.rx_packets]
+    (delivered to the host), [nic.rx_dropped] (full receive ring),
+    [nic.rx_dropped_mem] (refused by the {!set_rx_admission} gate),
+    [nic.bad_fcs] (failed the MAC's frame check), [nic.tx_paused_ns]
+    (transmit PAUSEd, including a pause in progress),
+    [nic.pause_frames_rx], [nic.pause_frames_tx] and [nic.slow_extra_ns]
+    (service time {!set_slow_factor} added).
     @raise Invalid_argument on out-of-range pause parameters. *)
 
 (** {1 Wiring} *)
@@ -103,14 +112,14 @@ val rx_from_wire : t -> Eth_frame.t -> unit
 (** Entry point for frames delivered by the attached downlink; pass this to
     {!Link.connect} / {!Switch.connect_node}.  Frames arriving with
     [corrupted = true] fail the MAC's FCS check and are counted in
-    {!bad_fcs}; frames arriving while the NIC is {!power_off} are lost
+    [nic.bad_fcs]; frames arriving while the NIC is {!power_off} are lost
     silently. *)
 
 val set_rx_admission : t -> (bytes:int -> bool) -> unit
 (** Installs the host-memory admission gate consulted before a received
     packet is DMA'd into the host ring (the OS layer wires this to its
     kernel pool's watermark level).  Returning [false] drops the packet
-    with the {!rx_dropped_mem} reason.
+    with the [nic.rx_dropped_mem] reason.
     @raise Invalid_argument when already set. *)
 
 val set_interrupt : t -> (unit -> unit) -> unit
@@ -162,34 +171,15 @@ val pci : t -> Bus.t
 (** The I/O bus this NIC sits on (for programmed-I/O transfers). *)
 
 val is_down : t -> bool
-val interrupts_raised : t -> int
+
 val tx_packets : t -> int
-val rx_packets : t -> int
-(** Packets delivered to the host (post-reassembly). *)
-
-val rx_dropped : t -> int
-(** Packets lost to a full receive ring. *)
-
-val rx_dropped_mem : t -> int
-(** Packets shed because the host kernel pool was at its hard watermark
-    (the {!set_rx_admission} gate refused them). *)
-
-val bad_fcs : t -> int
-(** Frames discarded by the MAC's frame-check-sequence over corrupted
-    bits. *)
+(** The registered getter of [nic.tx_packets]. *)
 
 val tx_ring_free : t -> int
 val rx_pending : t -> int
 
 val is_tx_paused : t -> bool
 (** Whether the transmit path is currently gated by a received PAUSE. *)
-
-val tx_paused_ns : t -> int
-(** Cumulative time the transmit path has spent PAUSEd, including any
-    pause still in progress. *)
-
-val pause_frames_rx : t -> int
-val pause_frames_tx : t -> int
 
 (** {1 Gray failure: fail-slow service inflation} *)
 
@@ -202,8 +192,3 @@ val set_slow_factor : t -> float -> unit
     @raise Invalid_argument if [factor < 1]. *)
 
 val slow_factor : t -> float
-
-val slow_extra_ns : t -> int
-(** Total extra service nanoseconds the inflation has injected — the
-    soak's evidence that the fail-slow NIC actually served traffic while
-    degraded. *)

@@ -101,6 +101,39 @@ type t = {
   mutable egress_stall_ns : int;
 }
 
+let sum_ports ?(trunks_only = false) field t =
+  List.fold_left
+    (fun acc p -> if trunks_only && p.node >= 0 then acc else acc + field p)
+    0 t.port_list
+
+let frames_forwarded t = t.frames_forwarded
+let egress_drops = sum_ports (fun p -> p.egress_drops)
+let ingress_drops = sum_ports (fun p -> p.ingress_drops)
+let pause_frames_tx t = t.pause_frames_tx
+let ecn_marked t = t.ecn_marked
+let peak_buffer_occupied t = t.peak_occupied
+
+let counters =
+  [
+    ("switch.frames_forwarded", frames_forwarded);
+    ("switch.frames_flooded", fun t -> t.frames_flooded);
+    ("switch.frames_unroutable", fun t -> t.frames_unroutable);
+    ("switch.frames_ttl_dropped", fun t -> t.frames_ttl_dropped);
+    ("switch.unknown_floods", fun t -> t.unknown_floods);
+    ("switch.down_drops", fun t -> t.down_drops);
+    ("switch.egress_drops", egress_drops);
+    ("switch.ingress_drops", ingress_drops);
+    ("switch.pause_frames_tx", pause_frames_tx);
+    ("switch.pause_frames_rx", fun t -> t.pause_frames_rx);
+    ("switch.ecn_marked", ecn_marked);
+    ("switch.peak_buffer_occupied", peak_buffer_occupied);
+    ("switch.egress_paused_ns", sum_ports (fun p -> p.egress_paused_ns));
+    ("switch.egress_stalls", fun t -> t.egress_stalls);
+    ("switch.egress_stall_ns", fun t -> t.egress_stall_ns);
+    ( "switch.trunk_tx_frames",
+      sum_ports ~trunks_only:true (fun p -> p.tx_frames) );
+  ]
+
 let create sim ~name ~bits_per_s ?(forward_latency = Time.us 2.)
     ?(propagation = Time.ns 500) ?(fault = fun () -> Fault.none)
     ?egress_frames ?ingress_frames ?buffer ?(learning = false) ?(ttl = 16) ()
@@ -110,38 +143,42 @@ let create sim ~name ~bits_per_s ?(forward_latency = Time.us 2.)
   | _ -> ());
   if ttl < 1 then invalid_arg "Switch.create: ttl < 1";
   Option.iter validate_buffer buffer;
-  {
-    sim;
-    name;
-    bits_per_s;
-    forward_latency;
-    propagation;
-    fault;
-    egress_frames;
-    ingress_frames;
-    buffer;
-    learning;
-    ttl;
-    fdb = Hashtbl.create 16;
-    routes = Hashtbl.create 16;
-    trunk_count = 0;
-    down = false;
-    port_list = [];
-    shared_used = 0;
-    occupied = 0;
-    peak_occupied = 0;
-    frames_forwarded = 0;
-    frames_flooded = 0;
-    frames_unroutable = 0;
-    frames_ttl_dropped = 0;
-    unknown_floods = 0;
-    down_drops = 0;
-    pause_frames_tx = 0;
-    pause_frames_rx = 0;
-    ecn_marked = 0;
-    egress_stalls = 0;
-    egress_stall_ns = 0;
-  }
+  let t =
+    {
+      sim;
+      name;
+      bits_per_s;
+      forward_latency;
+      propagation;
+      fault;
+      egress_frames;
+      ingress_frames;
+      buffer;
+      learning;
+      ttl;
+      fdb = Hashtbl.create 16;
+      routes = Hashtbl.create 16;
+      trunk_count = 0;
+      down = false;
+      port_list = [];
+      shared_used = 0;
+      occupied = 0;
+      peak_occupied = 0;
+      frames_forwarded = 0;
+      frames_flooded = 0;
+      frames_unroutable = 0;
+      frames_ttl_dropped = 0;
+      unknown_floods = 0;
+      down_drops = 0;
+      pause_frames_tx = 0;
+      pause_frames_rx = 0;
+      ecn_marked = 0;
+      egress_stalls = 0;
+      egress_stall_ns = 0;
+    }
+  in
+  Counters.register sim ~scope:name counters t;
+  t
 
 let find_port t pid = List.find_opt (fun p -> p.node = pid) t.port_list
 let n_ports t = List.length t.port_list
@@ -676,27 +713,7 @@ let trunks t =
 let trunk_tx_frames t ~peer =
   (get_trunk t ~what:"Switch.trunk_tx_frames" peer).tx_frames
 
-let frames_forwarded t = t.frames_forwarded
-let frames_flooded t = t.frames_flooded
-let frames_unroutable t = t.frames_unroutable
-let frames_ttl_dropped t = t.frames_ttl_dropped
-let unknown_floods t = t.unknown_floods
-let down_drops t = t.down_drops
-
-let egress_drops t =
-  List.fold_left (fun acc p -> acc + p.egress_drops) 0 t.port_list
-
-let ingress_drops t =
-  List.fold_left (fun acc p -> acc + p.ingress_drops) 0 t.port_list
-
-let pause_frames_tx t = t.pause_frames_tx
-let pause_frames_rx t = t.pause_frames_rx
-let ecn_marked t = t.ecn_marked
 let buffer_occupied t = t.occupied
-let peak_buffer_occupied t = t.peak_occupied
-
-let egress_paused_ns t =
-  List.fold_left (fun acc p -> acc + p.egress_paused_ns) 0 t.port_list
 
 (* Gray failure: an egress pump that intermittently stops serving its FIFO
    (a wedged scheduler pass, a firmware hiccup) while the rest of the
@@ -730,7 +747,5 @@ let inject_stall t ~node ~span =
            end))
   end
 
-let egress_stalls t = t.egress_stalls
-let egress_stall_ns t = t.egress_stall_ns
 let has_node t node =
   match find_port t node with Some p -> p.node >= 0 | None -> false

@@ -68,12 +68,26 @@ val create :
   t
 (** [fault] is called once per created link to give each direction its own
     fault process.  [egress_frames] caps each output FIFO in frames:
-    excess frames are tail-dropped into {!egress_drops}.  [ingress_frames]
-    bounds each uplink's transmit queue, making blind-dumping stations
-    lose frames to {!ingress_drops}.  [buffer] enables the shared-buffer
-    ledger and PAUSE generation.  [learning] (default [false]) enables the
-    MAC-learning FDB and unknown-unicast flooding; [ttl] (default 16)
-    bounds switch traversals per frame.
+    excess frames are tail-dropped into [switch.egress_drops].
+    [ingress_frames] bounds each uplink's transmit queue, making
+    blind-dumping stations lose frames to [switch.ingress_drops].
+    [buffer] enables the shared-buffer ledger and PAUSE generation.
+    [learning] (default [false]) enables the MAC-learning FDB and
+    unknown-unicast flooding; [ttl] (default 16) bounds switch traversals
+    per frame.
+
+    Counters, under the scope [name]: [switch.frames_forwarded],
+    [switch.frames_flooded] (copies of group or unknown-unicast frames),
+    [switch.frames_unroutable], [switch.frames_ttl_dropped] (at the hop
+    bound: nonzero means a loop), [switch.unknown_floods] (learning mode),
+    [switch.down_drops] (refused while down), [switch.egress_drops] (full
+    egress FIFO or shared buffer), [switch.ingress_drops] (full bounded
+    uplink), [switch.pause_frames_tx] (XOFF and XON generated),
+    [switch.pause_frames_rx], [switch.ecn_marked],
+    [switch.peak_buffer_occupied] (bytes), [switch.egress_paused_ns]
+    (egress gated by peer PAUSE), [switch.egress_stalls] and
+    [switch.egress_stall_ns] ({!inject_stall}), [switch.trunk_tx_frames]
+    (data frames sent on all trunks).
     @raise Invalid_argument on nonsensical buffer parameters or [ttl < 1]. *)
 
 val add_port : t -> node:int -> unit
@@ -140,48 +154,20 @@ val trunk_tx_frames : t -> peer:string -> int
     load counter ECMP-spread tests read.
     @raise Invalid_argument when no such trunk exists. *)
 
+(** {1 Counters}
+
+    The registered getters of the same-named counters listed in
+    {!create}. *)
+
 val frames_forwarded : t -> int
-
-val frames_flooded : t -> int
-(** Copies emitted for group-addressed or unknown-unicast frames. *)
-
-val frames_unroutable : t -> int
-
-val frames_ttl_dropped : t -> int
-(** Frames dropped at the hop-count bound — nonzero means a forwarding
-    loop (or a fabric deeper than [ttl]). *)
-
-val unknown_floods : t -> int
-(** Unicast frames flooded because the FDB had no entry (learning mode). *)
-
-val down_drops : t -> int
-(** Frames refused while the switch was powered down. *)
-
 val egress_drops : t -> int
-(** Frames tail-dropped at full egress FIFOs or an exhausted shared
-    buffer. *)
-
 val ingress_drops : t -> int
-(** Frames lost at full bounded uplink FIFOs (stations transmitting
-    without backpressure). *)
-
 val pause_frames_tx : t -> int
-(** PAUSE frames the switch generated (XOFF and XON). *)
-
-val pause_frames_rx : t -> int
-(** PAUSE frames received from stations or peer switches. *)
-
 val ecn_marked : t -> int
-(** Frames whose CE bit this switch set (0 unless the buffer config has a
-    positive [ecn_threshold]). *)
+val peak_buffer_occupied : t -> int
 
 val buffer_occupied : t -> int
 (** Bytes currently held in the shared buffer (0 when unbuffered). *)
-
-val peak_buffer_occupied : t -> int
-
-val egress_paused_ns : t -> int
-(** Total time egress ports spent gated by peer-originated PAUSE. *)
 
 val protected_provisioning : t -> bool
 (** Whether the configuration guarantees zero switch loss for
@@ -200,12 +186,6 @@ val inject_stall : t -> node:int -> span:Engine.Time.span -> unit
     clearing are emitted as [Probe.Gray_fault { mode = "switch-stall" }]
     edges.
     @raise Invalid_argument if [span <= 0] or no port faces [node]. *)
-
-val egress_stalls : t -> int
-(** Stall injections accepted so far. *)
-
-val egress_stall_ns : t -> int
-(** Total egress time frozen by injected stalls. *)
 
 val has_node : t -> int -> bool
 (** Whether a station port for [node] exists on this switch. *)

@@ -212,6 +212,16 @@ let[@clic.atomic] isr t () =
                       descs)));
       Nic.unmask_irq t.nic)
 
+let poll_passes t = t.poll_passes
+
+let counters =
+  [
+    ("driver.rx_upcalls", fun t -> t.rx_upcalls);
+    ("driver.poll_mode_switches", fun t -> t.poll_mode_switches);
+    ("driver.poll_passes", poll_passes);
+    ("driver.polled_packets", fun t -> t.polled_packets);
+  ]
+
 let create sim ~cpu ~intr ~bh ~nic ?(params = default_params) () =
   if params.napi then begin
     if params.napi_budget <= 0 then
@@ -237,6 +247,7 @@ let create sim ~cpu ~intr ~bh ~nic ?(params = default_params) () =
       dead = false;
     }
   in
+  Counters.register sim ~scope:(Nic.name nic ^ ".driver") counters t;
   Nic.set_interrupt nic (fun () -> Interrupt.raise_irq intr ~isr:(isr t));
   t
 
@@ -267,8 +278,5 @@ let transmit t ~skb ~dst ~src ~ethertype ~payload ?(internal_copy = true)
 
 let nic t = t.nic
 let params t = t.params
-let rx_upcalls t = t.rx_upcalls
 let is_polling t = t.polling
-let poll_mode_switches t = t.poll_mode_switches
-let poll_passes t = t.poll_passes
-let polled_packets t = t.polled_packets
+

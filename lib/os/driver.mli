@@ -66,7 +66,12 @@ val create :
   t
 (** Hooks the NIC's interrupt line; at most one driver per NIC.  The ISR,
     bottom-half and transmit-routine stages are reported as {!Probe.Span}s
-    on the CPU's name (Figure 7 is built from them). *)
+    on the CPU's name (Figure 7 is built from them).
+
+    Counters, under the scope ["<nic name>.driver"]: [driver.rx_upcalls],
+    [driver.poll_mode_switches] (transitions between interrupt and
+    polling mode, both directions), [driver.poll_passes] and
+    [driver.polled_packets]. *)
 
 val set_rx_upcall : t -> (Nic.rx_desc -> unit) -> unit
 (** The protocol entry point (CLIC_MODULE, or netif_rx for TCP/IP).  Runs
@@ -97,15 +102,11 @@ val kill : t -> unit
 
 val nic : t -> Nic.t
 val params : t -> params
-val rx_upcalls : t -> int
 
 val is_polling : t -> bool
 (** True while the NAPI-style polling loop owns rx servicing. *)
 
-val poll_mode_switches : t -> int
-(** Transitions between interrupt and polling mode (both directions). *)
-
 val poll_passes : t -> int
-val polled_packets : t -> int
+(** The registered getter of [driver.poll_passes]. *)
 
 (** {1 Flow-control statistics} — ethtool-style pass-throughs to the NIC *)

@@ -8,8 +8,15 @@ type t = {
   mutable isr_time : Time.span;
 }
 
+let irqs_delivered t = t.irqs
+
+let counters =
+  [ ("irq.delivered", irqs_delivered); ("irq.isr_ns", fun t -> t.isr_time) ]
+
 let create sim ~cpu ?(dispatch_latency = Time.us 5.) () =
-  { sim; cpu; dispatch_latency; irqs = 0; isr_time = 0 }
+  let t = { sim; cpu; dispatch_latency; irqs = 0; isr_time = 0 } in
+  Counters.register sim ~scope:(Cpu.name cpu ^ ".irq") counters t;
+  t
 
 (* The ISR body charges its CPU work itself at [`High] priority (via
    [Cpu.work ~priority:`High]); the controller only models delivery latency
@@ -23,5 +30,4 @@ let raise_irq t ~isr =
       isr ();
       t.isr_time <- t.isr_time + Time.diff (Sim.now t.sim) started)
 
-let irqs_delivered t = t.irqs
-let time_in_isr t = t.isr_time
+

@@ -12,11 +12,13 @@ open Engine
 type t
 
 val create : Sim.t -> cpu:Cpu.t -> ?dispatch_latency:Time.span -> unit -> t
-(** Default dispatch latency: 5 us. *)
+(** Default dispatch latency: 5 us.  Counters, under the scope
+    ["<cpu name>.irq"]: [irq.delivered] (IRQs raised) and [irq.isr_ns]
+    (time spent in service routines). *)
 
 val raise_irq : t -> isr:(unit -> unit) -> unit
 (** Asynchronous: returns immediately; the ISR runs after the dispatch
     latency, serialized with other interrupt-level work on the CPU. *)
 
 val irqs_delivered : t -> int
-val time_in_isr : t -> Time.span
+(** The registered getter of [irq.delivered]. *)

@@ -4,6 +4,7 @@ open Os_model
 type t = {
   sim : Sim.t;
   node : int;
+  name : string;
   cpu : Cpu.t;
   membus : Bus.t;
   sched : Sched.t;
@@ -15,4 +16,5 @@ type t = {
 let mac t = Hw.Mac.of_node t.node
 
 let make ~sim ~node ~cpu ~membus ~sched ~syscall ~driver ~kmem =
-  { sim; node; cpu; membus; sched; syscall; driver; kmem }
+  let name = "node" ^ string_of_int node in
+  { sim; node; name; cpu; membus; sched; syscall; driver; kmem }

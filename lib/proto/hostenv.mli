@@ -9,6 +9,9 @@ open Os_model
 type t = {
   sim : Sim.t;
   node : int;  (** cluster node id; the NIC's MAC is [Mac.of_node node] *)
+  name : string;
+      (** ["node<id>"]: the stacks count under ["<name>.tcp"],
+          ["<name>.clic"], ... in {!Engine.Counters} *)
   cpu : Cpu.t;
   membus : Bus.t;
   sched : Sched.t;

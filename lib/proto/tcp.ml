@@ -367,6 +367,15 @@ let on_segment t (seg : Packet.tcp_segment) ~src =
         | None -> ()
       end
 
+let segments_sent t = t.segments_sent
+
+let counters =
+  [
+    ("tcp.segments_sent", segments_sent);
+    ("tcp.retransmits", fun t -> t.retransmits);
+    ("tcp.acks_sent", fun t -> t.acks_sent);
+  ]
+
 let create ip ?(params = default_params) () =
   let t =
     {
@@ -380,6 +389,7 @@ let create ip ?(params = default_params) () =
       acks_sent = 0;
     }
   in
+  Counters.register (sim t) ~scope:((env t).Hostenv.name ^ ".tcp") counters t;
   Ip.register_tcp ip (on_segment t);
   t
 
@@ -507,7 +517,5 @@ let close c =
 let at_eof c = c.peer_fin && c.avail = 0
 
 let available c = c.avail
-let segments_sent t = t.segments_sent
-let retransmits t = t.retransmits
-let acks_sent t = t.acks_sent
+
 let bytes_delivered c = c.delivered

@@ -44,6 +44,8 @@ type t
 type conn
 
 val create : Ip.t -> ?params:params -> unit -> t
+(** Counters, under the scope ["node<id>.tcp"]: [tcp.segments_sent],
+    [tcp.retransmits] and [tcp.acks_sent]. *)
 
 val listen : t -> port:int -> unit
 (** @raise Invalid_argument if the port is already listening. *)
@@ -83,7 +85,7 @@ val mss : conn -> int
 (** {1 Statistics} *)
 
 val segments_sent : t -> int
-val retransmits : t -> int
-val acks_sent : t -> int
+(** The registered getter of [tcp.segments_sent]. *)
+
 val bytes_delivered : conn -> int
 (** In-order bytes handed to the application side (consumed or waiting). *)

@@ -30,6 +30,14 @@ let config_mtu_clic mtu clic_params =
 let clic_pair_of c = Measure.clic_pair c ~a:0 ~b:1 ()
 let tcp_pair_of c = Measure.tcp_pair c ~a:0 ~b:1 ()
 
+(* A run's total of one registry counter (one object's, with [scope]). *)
+let count ?scope c name = Counters.total c.Net.sim ?scope name
+
+let switch_drops c =
+  count c "switch.ingress_drops" + count c "switch.egress_drops"
+
+let paused_us c = float_of_int (count c "nic.tx_paused_ns") /. 1e3
+
 (* ------------------------------------------------------------------ *)
 (* Figure 4: CLIC, {MTU 1500, 9000} x {0-copy, 1-copy} *)
 
@@ -811,18 +819,9 @@ let stress fmt =
     in
     let c = Net.create ~config ~n:6 () in
     let s = mk c in
-    let retx =
-      let total = ref 0 in
-      for i = 0 to Net.size c - 1 do
-        total :=
-          !total
-          + Clic.Clic_module.retransmissions
-              (Clic.Api.kernel (Net.node c i).Node.clic)
-      done;
-      !total
-    in
     ( name, s.Workload.sent, s.Workload.delivered,
-      float_of_int s.Workload.bytes /. 1e6, retx )
+      float_of_int s.Workload.bytes /. 1e6,
+      count c "channel.retransmissions" )
   in
   let rows =
     [
@@ -920,10 +919,6 @@ let chaos ?(quick = false) fmt =
     let c = Net.create ~config ~n:2 () in
     let pair = Measure.clic_pair c ~a:0 ~b:1 () in
     let r = Measure.stream c pair ~a:0 ~b:1 ~size ~messages in
-    let sum f =
-      f (Clic.Api.kernel (Net.node c 0).Node.clic)
-      + f (Clic.Api.kernel (Net.node c 1).Node.clic)
-    in
     let rto_mean, rto_max =
       match
         Clic.Clic_module.channel_to
@@ -941,9 +936,9 @@ let chaos ?(quick = false) fmt =
       c_latency_us = latency_us;
       c_goodput_mbps = r.Measure.st_bandwidth_mbps;
       c_elapsed_ms = Time.to_us r.Measure.elapsed /. 1000.;
-      c_retx = sum Clic.Clic_module.retransmissions;
-      c_timeouts = sum Clic.Clic_module.timeouts;
-      c_fast_rtx = sum Clic.Clic_module.fast_retransmits;
+      c_retx = count c "channel.retransmissions";
+      c_timeouts = count c "channel.timeouts";
+      c_fast_rtx = count c "channel.fast_retransmits";
       c_rto_mean_us = rto_mean;
       c_rto_max_us = rto_max;
     }
@@ -1034,19 +1029,6 @@ let incast_config ~pause =
     nic_pause = (if pause then Some Hw.Nic.pause_802_3x else None);
   }
 
-let incast_counters c =
-  let sw = List.hd c.Net.switches in
-  let retx = ref 0 and paused_ns = ref 0 in
-  for i = 0 to Net.size c - 1 do
-    let node = Net.node c i in
-    retx :=
-      !retx + Clic.Clic_module.retransmissions (Clic.Api.kernel node.Node.clic);
-    List.iter
-      (fun nic -> paused_ns := !paused_ns + Hw.Nic.tx_paused_ns nic)
-      node.Node.nics
-  done;
-  (sw, !retx, !paused_ns)
-
 (* The switch column of the incast and fabric panels. *)
 let pause_regime_name = function
   | `Tail_drop -> "tail-drop"
@@ -1062,18 +1044,17 @@ let incast ?(quick = false) fmt =
     let s =
       Workload.hotspot c ~seed:7 ~target:0 ~messages_per_node:messages ~size ()
     in
-    let sw, retx, paused_ns = incast_counters c in
     {
       in_regime = regime;
       in_sent = s.Workload.sent;
       in_delivered = s.Workload.delivered;
       in_elapsed_ms = Time.to_ms s.Workload.elapsed;
-      in_retx = retx;
-      in_ingress_drops = Hw.Switch.ingress_drops sw;
-      in_egress_drops = Hw.Switch.egress_drops sw;
-      in_pause_tx = Hw.Switch.pause_frames_tx sw;
-      in_tx_paused_us = float_of_int paused_ns /. 1e3;
-      in_peak_buffer = Hw.Switch.peak_buffer_occupied sw;
+      in_retx = count c "channel.retransmissions";
+      in_ingress_drops = count c "switch.ingress_drops";
+      in_egress_drops = count c "switch.egress_drops";
+      in_pause_tx = count c "switch.pause_frames_tx";
+      in_tx_paused_us = paused_us c;
+      in_peak_buffer = Hw.Switch.peak_buffer_occupied (List.hd c.Net.switches);
     }
   in
   let rows = [ run `Tail_drop; run `Pause ] in
@@ -1126,13 +1107,12 @@ let incast ?(quick = false) fmt =
           if !remaining = 0 then Ivar.fill finished (Sim.now sim))
     done;
     Net.run c;
-    let sw, retx, paused_ns = incast_counters c in
     ( regime,
       (match Ivar.peek finished with Some t -> Time.to_us t | None -> nan),
-      retx,
-      Hw.Switch.ingress_drops sw + Hw.Switch.egress_drops sw,
-      Hw.Switch.pause_frames_tx sw,
-      float_of_int paused_ns /. 1e3 )
+      count c "channel.retransmissions",
+      switch_drops c,
+      count c "switch.pause_frames_tx",
+      paused_us c )
   in
   let gather_rows = [ gather `Tail_drop; gather `Pause ] in
   Render.section fmt
@@ -1194,18 +1174,6 @@ type reroute_row = {
   rr_down_drops : int;
 }
 
-let cluster_retx_paused c =
-  let retx = ref 0 and paused_ns = ref 0 in
-  for i = 0 to Net.size c - 1 do
-    let node = Net.node c i in
-    retx :=
-      !retx + Clic.Clic_module.retransmissions (Clic.Api.kernel node.Node.clic);
-    List.iter
-      (fun nic -> paused_ns := !paused_ns + Hw.Nic.tx_paused_ns nic)
-      node.Node.nics
-  done;
-  (!retx, !paused_ns)
-
 (* Cross-rack incast through an oversubscribed spine, tail-drop vs 802.3x
    PAUSE, plus spine-failure rerouting — the congestion and resilience
    behaviours a single star cannot express.
@@ -1236,17 +1204,10 @@ let fabric ?(quick = false) fmt =
       Workload.hotspot c ~seed:11 ~target:0 ~senders
         ~messages_per_node:messages ~size ()
     in
-    let retx, paused_ns = cluster_retx_paused c in
-    let drops =
-      List.fold_left
-        (fun acc sw -> acc + Hw.Switch.ingress_drops sw + Hw.Switch.egress_drops sw)
-        0 c.Net.switches
-    in
-    let spine = Net.switch c "spine0." in
     let tor_pause =
       List.fold_left
-        (fun acc r -> acc + Hw.Switch.pause_frames_tx (Net.switch c r))
-        0 [ "tor0."; "tor1."; "tor2." ]
+        (fun acc scope -> acc + count c ~scope "switch.pause_frames_tx")
+        0 [ "tor0.0"; "tor1.0"; "tor2.0" ]
     in
     let peak =
       List.fold_left
@@ -1258,11 +1219,11 @@ let fabric ?(quick = false) fmt =
       fb_sent = s.Workload.sent;
       fb_delivered = s.Workload.delivered;
       fb_elapsed_ms = Time.to_ms s.Workload.elapsed;
-      fb_retx = retx;
-      fb_drops = drops;
-      fb_spine_pause = Hw.Switch.pause_frames_tx spine;
+      fb_retx = count c "channel.retransmissions";
+      fb_drops = switch_drops c;
+      fb_spine_pause = count c ~scope:"spine0.0" "switch.pause_frames_tx";
       fb_tor_pause = tor_pause;
-      fb_paused_us = float_of_int paused_ns /. 1e3;
+      fb_paused_us = paused_us c;
       fb_peak_buf = peak;
     }
   in
@@ -1314,16 +1275,15 @@ let fabric ?(quick = false) fmt =
       ~messages_per_node:(if quick then 12 else 40)
       ~min_size:2048 ~max_size:8192 ()
   in
-  let retx, _ = cluster_retx_paused c in
   let tor0 = Net.switch c "tor0." in
   let reroute =
     {
       rr_sent = s.Workload.sent;
       rr_delivered = s.Workload.delivered;
-      rr_retx = retx;
+      rr_retx = count c "channel.retransmissions";
       rr_spine0_tx = Hw.Switch.trunk_tx_frames tor0 ~peer:"spine0.0";
       rr_spine1_tx = Hw.Switch.trunk_tx_frames tor0 ~peer:"spine1.0";
-      rr_down_drops = Hw.Switch.down_drops (Net.switch c "spine0.");
+      rr_down_drops = count c ~scope:"spine0.0" "switch.down_drops";
     }
   in
   Render.section fmt "Spine failure: ECMP over 2 spines, spine0 dies at 800us";
@@ -1442,16 +1402,6 @@ let regime_name = function
 
 let scheme_name = function `Go_back_n -> "gbn" | `Sack -> "sack"
 
-let cluster_clic_sum c f =
-  let total = ref 0 in
-  for i = 0 to Net.size c - 1 do
-    total := !total + f (Clic.Api.kernel (Net.node c i).Node.clic)
-  done;
-  !total
-
-let switch_sum c f =
-  List.fold_left (fun acc sw -> acc + f sw) 0 c.Net.switches
-
 let congestion_cell ~quick ~regime ~topo ~scheme =
   let config = congestion_config ~regime ~scheme in
   let messages = if quick then 8 else 20 in
@@ -1478,15 +1428,13 @@ let congestion_cell ~quick ~regime ~topo ~scheme =
     cg_sent = s.Workload.sent;
     cg_delivered = s.Workload.delivered;
     cg_elapsed_ms = Time.to_ms s.Workload.elapsed;
-    cg_retx = cluster_clic_sum c Clic.Clic_module.retransmissions;
-    cg_retx_bytes = cluster_clic_sum c Clic.Clic_module.retx_bytes;
-    cg_switch_drops =
-      switch_sum c (fun sw ->
-          Hw.Switch.ingress_drops sw + Hw.Switch.egress_drops sw);
-    cg_pause_tx = switch_sum c Hw.Switch.pause_frames_tx;
-    cg_ecn_marks = switch_sum c Hw.Switch.ecn_marked;
-    cg_ce_echoes = cluster_clic_sum c Clic.Clic_module.ce_echoes;
-    cg_sacked = cluster_clic_sum c Clic.Clic_module.sacked_segments;
+    cg_retx = count c "channel.retransmissions";
+    cg_retx_bytes = count c "channel.retx_bytes";
+    cg_switch_drops = switch_drops c;
+    cg_pause_tx = count c "switch.pause_frames_tx";
+    cg_ecn_marks = count c "switch.ecn_marked";
+    cg_ce_echoes = count c "channel.ce_echoes";
+    cg_sacked = count c "channel.sacked_segments";
   }
 
 (* Same-seed bursty loss (Gilbert–Elliott, ~20-frame bursts at 50% loss):
@@ -1507,16 +1455,16 @@ let bursty_run ~quick ~scheme =
   let size = 8192 in
   let pair = Measure.clic_pair c ~a:0 ~b:1 () in
   let r = Measure.stream c pair ~a:0 ~b:1 ~size ~messages in
-  let k = Clic.Api.kernel (Net.node c 0).Node.clic in
+  let sender name = count c ~scope:"node0.clic" ("channel." ^ name) in
   {
     bu_scheme = scheme;
     bu_delivered = messages;
     bu_elapsed_ms = Time.to_us r.Measure.elapsed /. 1000.;
-    bu_retx = Clic.Clic_module.retransmissions k;
-    bu_retx_bytes = Clic.Clic_module.retx_bytes k;
-    bu_retx_bytes_saved = Clic.Clic_module.retx_bytes_saved k;
-    bu_sacked = Clic.Clic_module.sacked_segments k;
-    bu_timeouts = Clic.Clic_module.timeouts k;
+    bu_retx = sender "retransmissions";
+    bu_retx_bytes = sender "retx_bytes";
+    bu_retx_bytes_saved = sender "retx_bytes_saved";
+    bu_sacked = sender "sacked_segments";
+    bu_timeouts = sender "timeouts";
   }
 
 let congestion_matrix ?(quick = false) fmt =

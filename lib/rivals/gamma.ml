@@ -43,6 +43,7 @@ type t = {
   handlers : (int, message -> unit) Hashtbl.t;
   inboxes : (int, message Mailbox.t) Hashtbl.t;
   channels : (int, Clic.Channel.t) Hashtbl.t;
+  chan_counts : Clic.Channel.counters;
   reassembly : (int * int, reasm) Hashtbl.t;
   mutable next_msg : int;
 }
@@ -85,7 +86,7 @@ let rec get_channel t peer =
   | None ->
       let chan =
         Clic.Channel.create (sim t) ~self:(node t) ~peer
-          ~params:channel_params
+          ~params:channel_params ~counters:t.chan_counts
           ~transmit:(fun pkt ~retransmission:_ -> transmit t ~dst:peer pkt)
           ~deliver:(fun pkt -> deliver t pkt)
           ~send_ack:(fun ~cum_seq ~sacks:_ ~ce_echo:_ ->
@@ -141,6 +142,7 @@ let rx t (desc : Nic.rx_desc) =
   | _ -> ()
 
 let create env eth =
+  let scope = env.Hostenv.name ^ ".gamma" in
   let t =
     {
       env;
@@ -148,6 +150,7 @@ let create env eth =
       handlers = Hashtbl.create 8;
       inboxes = Hashtbl.create 8;
       channels = Hashtbl.create 8;
+      chan_counts = Clic.Channel.counters env.Hostenv.sim ~scope;
       reassembly = Hashtbl.create 8;
       next_msg = 0;
     }

@@ -474,9 +474,6 @@ let test_soak_incast_storm_focused () =
     (ev "802.3x PAUSE frames generated" > 0 && ev "tx time XOFFed (ns)" > 0);
   check_bool "traffic actually flowed" true (ev "messages delivered" > 0)
 
-(* Satellite: the probe-enabled flag is consulted on the engine's hottest
-   path, so a probe-off run and a probe-on run of a full scenario must
-   render byte-identical output — observation cannot perturb behaviour. *)
 let test_soak_fabric_cut_focused () =
   (* The fabric template alone: a spine failure plus a node crash on a
      2-spine leaf/spine, clean under the full monitor set, with frames
@@ -492,6 +489,52 @@ let test_soak_fabric_cut_focused () =
     (ev "switches failed mid-trial" > 0);
   check_bool "a node crashed mid-trial" true (ev "node crashes" > 0);
   check_bool "traffic actually flowed" true (ev "messages delivered" > 0)
+
+(* An evidence gap names the registry counters that convicted it.  A
+   narrowed run waives the demands; judged as if the full set had run,
+   the irq-storm template alone leaves the fabric rows empty. *)
+let test_soak_missing_evidence_names_counters () =
+  let r =
+    Check.Soak.run ~seeds:[ 101 ] ~trials:1 ~quick:true ~only:[ "irq-storm" ]
+      ()
+  in
+  Alcotest.(check (list string)) "a narrowed run demands nothing" []
+    (Check.Soak.missing_evidence r);
+  let missing =
+    Check.Soak.missing_evidence { r with Check.Soak.s_full_set = true }
+  in
+  let has m = List.mem m missing in
+  check_bool "one counter" true
+    (has "no frame was ever CE-marked (switch.ecn_marked = 0)");
+  check_bool "several counters, in row order" true
+    (has
+       "no switch ever dropped a frame (switch.ingress_drops = 0, \
+        switch.egress_drops = 0)");
+  check_bool "a template-fed row names no counter" true
+    (has "no switch was ever failed mid-trial");
+  check_bool "evidenced rows are not reported" false
+    (List.exists
+       (fun m -> String.starts_with ~prefix:"driver never switched" m)
+       missing)
+
+(* golden/soak.quick.txt is `clic-sim soak --trials 8 --quick`'s standard
+   output, the summary the CI soak job diffs. *)
+let test_soak_quick_golden () =
+  let r = Check.Soak.run ~trials:8 ~quick:true () in
+  check_bool "soak clean" true (Check.Soak.ok r);
+  let text =
+    Format.asprintf "%a@.soak: %d trial(s) clean over %d seed(s)@."
+      Check.Soak.pp_summary r
+      (List.length r.Check.Soak.s_trials)
+      (List.length Check.Soak.default_seeds)
+  in
+  let ic = open_in_bin "golden/soak.quick.txt" in
+  let golden =
+    Fun.protect ~finally:(fun () -> close_in ic) (fun () ->
+        really_input_string ic (in_channel_length ic))
+  in
+  Alcotest.(check string) "soak summary equals golden/soak.quick.txt" golden
+    text
 
 (* The compatibility contract: every scenario's logical trace stays where
    test/golden/scenario_hashes.txt pins it.  The full sweep runs in CI
@@ -537,6 +580,9 @@ let test_scenario_hashes_pinned () =
         r.Check.baseline_hash)
     reports
 
+(* The probe-enabled flag is consulted on the engine's hottest path, so a
+   probe-off run and a probe-on run of a full scenario must render
+   byte-identical output — observation cannot perturb behaviour. *)
 let test_probe_on_off_equivalence () =
   let sc = Check.Scenario.find "ext3" in
   let render () =
@@ -546,13 +592,13 @@ let test_probe_on_off_equivalence () =
     Format.pp_print_flush fmt ();
     Buffer.contents buf
   in
-  check_bool "probes start off" false (Probe.enabled ());
+  check_bool "probes start off" false !Probe.on;
   let off = render () in
   let seen = ref 0 in
   Probe.install (fun _ -> incr seen);
   let on_ = Fun.protect ~finally:Probe.uninstall render in
   check_bool "probe saw the run" true (!seen > 0);
-  check_bool "probes off again" false (Probe.enabled ());
+  check_bool "probes off again" false !Probe.on;
   Alcotest.(check string) "identical rendered trace with probes on" off on_
 
 (* ------------------------------------------------------------------ *)
@@ -1094,6 +1140,10 @@ let suite =
       test_soak_incast_storm_focused;
     Alcotest.test_case "soak: fabric-cut focused" `Quick
       test_soak_fabric_cut_focused;
+    Alcotest.test_case "soak: evidence gaps name their counters" `Quick
+      test_soak_missing_evidence_names_counters;
+    Alcotest.test_case "soak: quick summary equals its golden" `Quick
+      test_soak_quick_golden;
     Alcotest.test_case "slo: contract validation" `Quick test_slo_validate;
     Alcotest.test_case "slo: phase classification by arrival" `Quick
       test_slo_evaluate_phases;

@@ -13,6 +13,13 @@ let two_nodes ?config () =
   let c = Net.create ?config ~n:2 () in
   (c, Net.node c 0, Net.node c 1)
 
+(* Registry reads: a standalone test channel counts into the record its
+   rig registered; node [i]'s CLIC kernel counts under "node<i>.clic". *)
+let chan_count sim name = Counters.total sim ("channel." ^ name)
+
+let clic_count c ~node name =
+  Counters.total c.Net.sim ~scope:(Printf.sprintf "node%d.clic" node) name
+
 let config_with ?(mtu = 1500) ?clic ?fault ?(nics = 1) () =
   let base = { Node.default_config with mtu; nics } in
   let base =
@@ -30,6 +37,7 @@ let channel_rig ?(params = Params.default) () =
   let sent = ref [] and delivered = ref [] and acks = ref [] in
   let chan =
     Channel.create sim ~self:0 ~peer:1 ~params
+      ~counters:(Channel.counters sim ~scope:"chan")
       ~transmit:(fun pkt ~retransmission ->
         sent := (pkt, retransmission) :: !sent)
       ~deliver:(fun pkt -> delivered := pkt :: !delivered)
@@ -79,7 +87,7 @@ let test_channel_drops_duplicates () =
       Channel.rx chan (mk_data 1));
   Sim.run sim;
   check_int "no duplicate delivery" 2 (List.length !delivered);
-  check_int "duplicates counted" 2 (Channel.duplicates_dropped chan)
+  check_int "duplicates counted" 2 (chan_count sim "duplicates_dropped")
 
 let test_channel_retransmits_on_timeout () =
   let sim, chan, sent, _, _ = channel_rig () in
@@ -94,7 +102,7 @@ let test_channel_retransmits_on_timeout () =
       ignore pkt);
   Sim.run sim;
   (* No ack ever arrives: the timer must have fired at least once. *)
-  check_bool "retransmissions" true (Channel.retransmissions chan > 0);
+  check_bool "retransmissions" true (chan_count sim "retransmissions" > 0);
   check_bool "retransmission flagged" true
     (List.exists (fun (_, retx) -> retx) !sent)
 
@@ -137,7 +145,7 @@ let test_channel_rtt_adaptation () =
         Channel.rx_ack chan (i + 1)
       done);
   Sim.run sim;
-  check_int "every ack sampled" 10 (Channel.rtt_samples chan);
+  check_int "every ack sampled" 10 (chan_count sim "rtt_samples");
   (match Channel.srtt chan with
   | Some srtt -> check_int "srtt converged to the path RTT" (Time.us 50.) srtt
   | None -> Alcotest.fail "no srtt after samples");
@@ -156,6 +164,7 @@ let test_channel_rto_backoff_growth () =
   let retx_at = ref [] in
   let chan =
     Channel.create sim ~self:0 ~peer:1 ~params
+      ~counters:(Channel.counters sim ~scope:"chan")
       ~transmit:(fun _ ~retransmission ->
         if retransmission then retx_at := Sim.now sim :: !retx_at)
       ~deliver:(fun _ -> ())
@@ -169,7 +178,7 @@ let test_channel_rto_backoff_growth () =
   (* no ack ever arrives: resends at +1, +3, +7, +15, +23 ms (doubling
      gaps capped at rto_max), then the retry cap declares the peer dead *)
   check_bool "declared dead" true (Channel.is_dead chan);
-  check_int "one resend per timeout" 5 (Channel.timeouts chan);
+  check_int "one resend per timeout" 5 (chan_count sim "timeouts");
   let rec gaps = function
     | a :: (b :: _ as rest) -> (b - a) :: gaps rest
     | _ -> []
@@ -192,14 +201,14 @@ let test_channel_fast_retransmit_on_dup_acks () =
       (* duplicate cumulative acks naming seq 1 as the hole *)
       Channel.rx_ack chan 1;
       Channel.rx_ack chan 1;
-      check_int "below the threshold" 0 (Channel.fast_retransmits chan);
+      check_int "below the threshold" 0 (chan_count sim "fast_retransmits");
       Channel.rx_ack chan 1;
-      check_int "third duplicate fires" 1 (Channel.fast_retransmits chan);
+      check_int "third duplicate fires" 1 (chan_count sim "fast_retransmits");
       (* more duplicates must not resend the same hole again *)
       Channel.rx_ack chan 1;
       Channel.rx_ack chan 1;
       Channel.rx_ack chan 1;
-      check_int "once per hole" 1 (Channel.fast_retransmits chan);
+      check_int "once per hole" 1 (chan_count sim "fast_retransmits");
       (* let the channel finish cleanly *)
       Channel.rx_ack chan 4);
   Sim.run sim;
@@ -207,7 +216,7 @@ let test_channel_fast_retransmit_on_dup_acks () =
     List.filter (fun (p, retx) -> retx && p.Wire.chan_seq = Some 1) !sent
   in
   check_int "exactly the hole was resent" 1 (List.length hole_resends);
-  check_bool "no timer expiry involved" true (Channel.timeouts chan = 0)
+  check_bool "no timer expiry involved" true (chan_count sim "timeouts" = 0)
 
 let test_channel_dead_releases_blocked_senders () =
   let params =
@@ -254,7 +263,7 @@ let test_channel_ooo_duplicate_counted () =
       Channel.rx chan (mk_data 1));
   Sim.run sim;
   check_int "each delivered once" 3 (List.length !delivered);
-  check_int "held duplicate counted" 1 (Channel.duplicates_dropped chan);
+  check_int "held duplicate counted" 1 (chan_count sim "duplicates_dropped");
   (* the out-of-order arrival provoked an immediate ack naming the hole *)
   check_bool "hole announced" true (List.mem 0 !acks)
 
@@ -299,21 +308,23 @@ let test_channel_sack_rto_skips_held_segments () =
           (Channel.next_seq chan ~data_bytes:10 (Wire.Msg_ack { msg_id = i }))
       done;
       Channel.rx_ack chan ~sacks:[ (2, 4) ] 0;
-      check_int "both held segments marked" 2 (Channel.sacked_segments chan);
+      check_int "both held segments marked" 2
+        (chan_count sim "sacked_segments");
       (* one RTO fires at +1ms; the ack then retires everything *)
       Process.delay (Time.ms 1.5);
       Channel.rx_ack chan 4);
   Sim.run sim;
   check_bool "completed without teardown" true (not (Channel.is_dead chan));
-  check_int "one timeout" 1 (Channel.timeouts chan);
+  check_int "one timeout" 1 (chan_count sim "timeouts");
   let retx_seqs =
     List.rev !sent
     |> List.filter_map (fun (p, retx) -> if retx then p.Wire.chan_seq else None)
   in
   Alcotest.(check (list int)) "only the holes, oldest first" [ 0; 1 ]
     retx_seqs;
-  check_bool "skipped bytes credited" true (Channel.retx_bytes_saved chan > 0);
-  check_bool "resent bytes billed" true (Channel.retx_bytes chan > 0)
+  check_bool "skipped bytes credited"
+    true (chan_count sim "retx_bytes_saved" > 0);
+  check_bool "resent bytes billed" true (chan_count sim "retx_bytes" > 0)
 
 let test_channel_receiver_echoes_ce () =
   (* The receiver notes a CE-marked arrival and raises the echo bit on the
@@ -323,6 +334,7 @@ let test_channel_receiver_echoes_ce () =
   let echoes = ref [] in
   let chan =
     Channel.create sim ~self:0 ~peer:1 ~params:Params.default
+      ~counters:(Channel.counters sim ~scope:"chan")
       ~transmit:(fun _ ~retransmission:_ -> ())
       ~deliver:(fun _ -> ())
       ~send_ack:(fun ~cum_seq ~sacks:_ ~ce_echo ->
@@ -336,7 +348,7 @@ let test_channel_receiver_echoes_ce () =
       Channel.rx chan (mk_data 2);
       Channel.rx chan (mk_data 3));
   Sim.run sim;
-  check_int "one CE mark seen" 1 (Channel.ce_marks_rx chan);
+  check_int "one CE mark seen" 1 (chan_count sim "ce_marks_rx");
   Alcotest.(check (list (pair int bool)))
     "echo raised once, then clear"
     [ (2, true); (4, false) ]
@@ -357,7 +369,7 @@ let test_channel_dctcp_alpha_and_window_cut () =
       alpha_after_mark := Channel.dctcp_alpha chan;
       check_bool "alpha learned the mark" true (!alpha_after_mark > 0.);
       check_bool "window cut below tx_window" true (Channel.cwnd chan < 8);
-      check_int "echo counted" 1 (Channel.ce_echoes chan);
+      check_int "echo counted" 1 (chan_count sim "ce_echoes");
       (* a clean window: alpha decays, additive increase resumes *)
       for i = 4 to 5 do
         ignore
@@ -471,7 +483,7 @@ let test_clic_local_message () =
   Net.run c;
   check_int "same-node delivery" 777 !got;
   check_int "local counter" 1
-    (Clic_module.local_messages (Api.kernel na.Node.clic));
+    (clic_count c ~node:0 "clic.local_messages");
   (* local messages must not touch the NIC *)
   check_int "no wire packets" 0 (Hw.Nic.tx_packets (List.hd na.Node.nics))
 
@@ -537,7 +549,9 @@ let test_clic_drop_nth_data_and_ack_paths () =
   check_bool "retransmissions bounded" true
     (Clic_module.retransmissions ka < 600);
   check_bool "recovery used the adaptive machinery" true
-    (Clic_module.timeouts ka + Clic_module.fast_retransmits ka > 0)
+    (clic_count c ~node:0 "channel.timeouts"
+     + clic_count c ~node:0 "channel.fast_retransmits"
+    > 0)
 
 let test_clic_staging_when_ring_full () =
   (* A tiny transmit ring with a large window forces the "data cannot be
@@ -560,7 +574,7 @@ let test_clic_staging_when_ring_full () =
   Net.run c;
   check_int "all delivered" 120 !got;
   check_bool "some packets were staged" true
-    (Clic_module.packets_staged (Api.kernel na.Node.clic) > 0)
+    (clic_count c ~node:0 "clic.packets_staged" > 0)
 
 let test_clic_channel_bonding_two_nics () =
   (* Bonding pays off when each NIC has its own I/O bus; on the default
@@ -774,9 +788,9 @@ let test_clic_hard_watermark_sheds_and_recovers () =
   Net.run c;
   check_int "delivered once the pressure lifted" 5_000 !got;
   check_bool "nic shed ingress at the hard watermark" true
-    (Hw.Nic.rx_dropped_mem (List.hd nb.Node.nics) > 0);
+    (Counters.total c.Net.sim ~scope:"nic1.0" "nic.rx_dropped_mem" > 0);
   check_int "distinct from ring overflow" 0
-    (Hw.Nic.rx_dropped (List.hd nb.Node.nics));
+    (Counters.total c.Net.sim ~scope:"nic1.0" "nic.rx_dropped");
   check_bool "recovery went through retransmission" true
     (Clic_module.retransmissions (Api.kernel na.Node.clic) > 0)
 
@@ -799,7 +813,7 @@ let test_clic_recovers_from_corruption () =
   Alcotest.(check (list int)) "exactly-once despite bit flips" sizes
     (List.rev !got);
   check_bool "MAC dropped corrupted frames" true
-    (Hw.Nic.bad_fcs (List.hd nb.Node.nics) > 0);
+    (Counters.total c.Net.sim ~scope:"nic1.0" "nic.bad_fcs" > 0);
   check_bool "losses recovered by retransmission" true
     (Clic_module.retransmissions (Api.kernel na.Node.clic) > 0)
 
@@ -826,7 +840,6 @@ let forged_data ~epoch ~seq ~msg_id =
 
 let test_clic_stale_epoch_rejected () =
   let c, _, nb = two_nodes () in
-  let kb = Api.kernel nb.Node.clic in
   let epochs = ref [] in
   Node.spawn nb (fun () ->
       for _ = 1 to 2 do
@@ -848,9 +861,51 @@ let test_clic_stale_epoch_rejected () =
     "delivered both live epochs, in order"
     [ (1, 64); (2, 64) ]
     (List.rev !epochs);
-  check_int "stale frame counted" 1 (Clic_module.stale_epoch_drops kb);
-  check_int "reboot noticed" 1 (Clic_module.peer_reboots kb);
-  check_int "channel re-established" 1 (Clic_module.reestablishments kb)
+  check_int "stale frame counted" 1
+    (clic_count c ~node:1 "clic.stale_epoch_drops");
+  check_int "reboot noticed" 1 (clic_count c ~node:1 "clic.peer_reboots");
+  check_int "channel re-established" 1
+    (clic_count c ~node:1 "clic.reestablishments")
+
+(* A channel's counts outlive it: the module's retransmission total must
+   not fall when the channel to a dead peer is torn down and later
+   re-established, nor when the module itself shuts down. *)
+let test_clic_totals_survive_teardown () =
+  let clic =
+    { Params.default with
+      retransmit_timeout = Time.us 500.; rto_min = Time.us 100.;
+      rto_max = Time.ms 1.; max_retries = 3 }
+  in
+  let c, na, nb = two_nodes ~config:(config_with ~clic ()) () in
+  let ka = Api.kernel na.Node.clic in
+  let seen = ref [] in
+  let note () = seen := Clic_module.retransmissions ka :: !seen in
+  Node.crash nb;
+  Node.spawn na (fun () ->
+      (* the channel to the dead peer retransmits until its retry cap *)
+      Api.send na.Node.clic ~dst:1 ~port:5 1_000;
+      Process.delay (Time.ms 10.);
+      note ();
+      (* the peer rebooted meanwhile: this send re-establishes *)
+      Api.send na.Node.clic ~dst:1 ~port:5 1_000;
+      Process.delay (Time.ms 5.);
+      note ();
+      Clic_module.shutdown ka;
+      note ());
+  Node.spawn na (fun () ->
+      Process.delay (Time.ms 5.);
+      Node.reboot nb);
+  Net.run c;
+  check_int "the channel was re-established" 1
+    (clic_count c ~node:0 "clic.reestablishments");
+  match List.rev !seen with
+  | [ dead; reestablished; shut ] ->
+      check_bool "the dead channel retransmitted" true (dead > 0);
+      check_bool "re-establishing kept the dead channel's count" true
+        (reestablished >= dead);
+      check_bool "shutdown kept every channel's count" true
+        (shut >= reestablished)
+  | _ -> Alcotest.fail "expected three samples"
 
 let prop_channel_model_in_order =
   (* Feed the receive side an arbitrary interleaving of sequence numbers
@@ -863,6 +918,7 @@ let prop_channel_model_in_order =
       let delivered = ref [] in
       let chan =
         Channel.create sim ~self:0 ~peer:1 ~params:Params.default
+          ~counters:(Channel.counters sim ~scope:"chan")
           ~transmit:(fun _ ~retransmission:_ -> ())
           ~deliver:(fun pkt ->
             delivered := Option.get pkt.Wire.chan_seq :: !delivered)
@@ -951,6 +1007,8 @@ let qprops =
 
 let suite =
   [
+    ("module totals survive channel teardown", `Quick,
+      test_clic_totals_survive_teardown);
     ("channel in-order", `Quick, test_channel_in_order_delivery);
     ("channel reorders", `Quick, test_channel_reorders_ooo);
     ("channel duplicates", `Quick, test_channel_drops_duplicates);

@@ -59,9 +59,8 @@ let test_stream_conserves_messages () =
   let pair = Measure.clic_pair c ~a:0 ~b:1 () in
   let r = Measure.stream c pair ~a:0 ~b:1 ~size:2000 ~messages:50 in
   check_bool "positive bandwidth" true (r.Measure.st_bandwidth_mbps > 0.);
-  let kb = Clic.Api.kernel (Net.node c 1).Node.clic in
   check_int "every message delivered" 50
-    (Clic.Clic_module.messages_delivered kb)
+    (Counters.total c.Net.sim ~scope:"node1.clic" "clic.messages_delivered")
 
 let test_pingpong_latency_increases_with_size () =
   let lat size =
@@ -191,6 +190,44 @@ let snappy =
     retransmit_timeout = Time.us 500.; rto_min = Time.us 100.;
     rto_max = Time.ms 1.; max_retries = 3 }
 
+(* A crashed boot's kernel objects stay registered beside the rebooted
+   boot's: the run-wide total sums both boots, and each boot reads apart
+   under its own scope. *)
+let test_counters_span_boots () =
+  let config = { Node.default_config with clic_params = snappy } in
+  let c = Net.create ~config ~n:2 () in
+  let na = Net.node c 0 and nb = Net.node c 1 in
+  let recv_one () = ignore (Clic.Api.recv nb.Node.clic ~port:5) in
+  Node.spawn nb recv_one;
+  Node.spawn na (fun () ->
+      Clic.Api.send na.Node.clic ~dst:1 ~port:5 1_000;
+      Process.delay (Time.ms 1.);
+      Node.crash nb;
+      (* lost: the channel to the dead boot retransmits, then dies *)
+      Clic.Api.send na.Node.clic ~dst:1 ~port:5 2_000;
+      Process.delay (Time.ms 8.);
+      Node.reboot nb;
+      Node.spawn nb recv_one;
+      let rec resend () =
+        try Clic.Api.send na.Node.clic ~dst:1 ~port:5 3_000
+        with Clic.Channel.Dead _ ->
+          Process.delay (Time.us 300.);
+          resend ()
+      in
+      resend ());
+  Net.run c;
+  let delivered ?scope () =
+    Counters.total c.Net.sim ?scope "clic.messages_delivered"
+  in
+  check_int "the crashed boot delivered the first message" 1
+    (delivered ~scope:"node1.clic" ());
+  check_int "the rebooted boot delivered the second" 1
+    (delivered ~scope:"node1.clic#1" ());
+  check_int "the run-wide total sums both boots" 2 (delivered ());
+  check_bool "each boot had its own NIC" true
+    (Counters.total c.Net.sim ~scope:"nic1.0" "nic.rx_packets" > 0
+    && Counters.total c.Net.sim ~scope:"nic1.0#1" "nic.rx_packets" > 0)
+
 let test_node_crash_recovery_reestablishes () =
   let config = { Node.default_config with clic_params = snappy } in
   let c = Net.create ~config ~n:2 () in
@@ -239,13 +276,14 @@ let test_node_crash_recovery_reestablishes () =
   check_int "phase 3 delivered on the new boot" 3_000 !second;
   check_bool "node back up" true (Node.is_up nb);
   check_int "boot epoch bumped" 1 (Node.epoch nb);
-  check_int "one crash recorded" 1 (Node.crashes nb);
+  check_int "one crash recorded" 1
+    (Counters.total c.Net.sim ~scope:"node1" "node.crashes");
   check_int "dead kernel's pool fully returned" 0 !pool_after_crash;
-  let ka = Clic.Api.kernel na.Node.clic in
+  let survivor name = Counters.total c.Net.sim ~scope:"node0.clic" name in
   check_bool "survivor noticed the reboot" true
-    (Clic.Clic_module.peer_reboots ka >= 1);
+    (survivor "clic.peer_reboots" >= 1);
   check_bool "survivor re-established the channel" true
-    (Clic.Clic_module.reestablishments ka >= 1);
+    (survivor "clic.reestablishments" >= 1);
   check_int "fresh kernel starts at the new epoch" 1
     (Clic.Clic_module.epoch (Clic.Api.kernel nb.Node.clic))
 
@@ -463,11 +501,8 @@ let prop_fabric_all_pairs_delivery =
       done;
       Sim.run sim;
       Array.for_all (fun c -> c = n - 1) got
-      && List.for_all
-           (fun (_, sw) ->
-             Hw.Switch.frames_ttl_dropped sw = 0
-             && Hw.Switch.frames_unroutable sw = 0)
-           sws)
+      && Counters.total sim "switch.frames_ttl_dropped" = 0
+      && Counters.total sim "switch.frames_unroutable" = 0)
 
 let prop_fabric_flood_bounded_by_ttl =
   (* a broadcast on a cyclic static-routed fabric storms around the spine
@@ -493,11 +528,7 @@ let prop_fabric_flood_bounded_by_ttl =
         (Hw.Eth_frame.make ~src:(Hw.Mac.of_node 0) ~dst:Hw.Mac.broadcast
            ~ethertype:0x88 ~payload_bytes:100 (Hw.Eth_frame.Raw 100));
       Sim.run sim (* termination itself is the property under test *);
-      let ttl_drops =
-        List.fold_left
-          (fun acc (_, sw) -> acc + Hw.Switch.frames_ttl_dropped sw)
-          0 sws
-      in
+      let ttl_drops = Counters.total sim "switch.frames_ttl_dropped" in
       (* with >= 2 spines the flood loops, so the TTL must have fired;
          looped copies may even circle back to the sender's own switch *)
       ttl_drops > 0
@@ -763,18 +794,13 @@ let test_gray_failures_degrade_tail_with_evidence () =
   (* same offered load, but the fabric is quietly sick: every link sags
      to an eighth of its rate mid-run, NICs 1 and 2 serve 6x slower, and
      node 3's switch port stalls periodically *)
-  let faults = ref [] in
   let config =
     { Node.default_config with
       link_fault =
         Some
           (fun () ->
-            let f =
-              Hw.Fault.brownout ~fraction:0.125 ~from_:(Time.us 100.)
-                ~until_:(Time.ms 2.) ()
-            in
-            faults := f :: !faults;
-            f)
+            Hw.Fault.brownout ~fraction:0.125 ~from_:(Time.us 100.)
+              ~until_:(Time.ms 2.) ())
     }
   in
   let c = Net.create ~config ~n:4 () in
@@ -788,25 +814,14 @@ let test_gray_failures_degrade_tail_with_evidence () =
   check_bool "gray failures fatten the tail" true
     (slo.Workload.slo_p99_us > healthy.Workload.slo_p99_us);
   (* evidence: each fail-slow mechanism actually engaged *)
-  let brownout_frames =
-    List.fold_left (fun acc f -> acc + Hw.Fault.slowed f) 0 !faults
-  in
-  check_bool "link brownout engaged" true (brownout_frames > 0);
+  let count ?scope name = Counters.total c.Net.sim ?scope name in
+  check_bool "link brownout engaged" true (count "fault.slowed" > 0);
   let nic_extra =
-    List.fold_left
-      (fun acc i ->
-        List.fold_left
-          (fun acc nic -> acc + Hw.Nic.slow_extra_ns nic)
-          acc (Net.node c i).Node.nics)
-      0 [ 1; 2 ]
+    count ~scope:"nic1.0" "nic.slow_extra_ns"
+    + count ~scope:"nic2.0" "nic.slow_extra_ns"
   in
   check_bool "nic fail-slow engaged" true (nic_extra > 0);
-  let stall_ns =
-    List.fold_left
-      (fun acc sw -> acc + Hw.Switch.egress_stall_ns sw)
-      0 c.Net.switches
-  in
-  check_bool "switch stalls engaged" true (stall_ns > 0)
+  check_bool "switch stalls engaged" true (count "switch.egress_stall_ns" > 0)
 
 let test_gray_validation () =
   let c = Net.create ~n:3 () in
@@ -833,6 +848,7 @@ let fabric_qprops =
 
 let suite =
   [
+    ("counters: crashed and rebooted boots", `Quick, test_counters_span_boots);
     ("cluster shape", `Quick, test_cluster_shape);
     ("bonded switches", `Quick, test_bonded_cluster_has_parallel_switches);
     ("determinism", `Quick, test_determinism_same_run_same_numbers);

@@ -670,8 +670,67 @@ let test_probe_nested_sinks () =
     [ "outer clock 1"; "outer clock 2"; "inner clock 2"; "outer clock 3" ]
     (List.rev !log)
 
+(* ------------------------------------------------------------------ *)
+(* Counters: the per-simulator registry of named counters *)
+
+(* One object with a single counter [name] reading [v]. *)
+let reg sim ~scope name v =
+  Counters.register sim ~scope [ (name, fun v -> v) ] v
+
+let test_counters_unknown_name_raises () =
+  let sim = Sim.create () in
+  reg sim ~scope:"nic0" "nic.tx_packets" 3;
+  Alcotest.check_raises "a misspelt name never reads 0"
+    (Invalid_argument "Counters.total: no counter named nic.tx_pakets")
+    (fun () -> ignore (Counters.total sim "nic.tx_pakets"))
+
+let test_counters_scopes () =
+  let sim = Sim.create () in
+  reg sim ~scope:"l1" "link.frames_sent" 1;
+  reg sim ~scope:"l10" "link.frames_sent" 10;
+  reg sim ~scope:"l1" "link.frames_sent" 100;
+  reg sim ~scope:"l1" "link.frames_dropped" 5;
+  let sent ?scope () = Counters.total sim ?scope "link.frames_sent" in
+  check_int "the run-wide total sums every entry" 111 (sent ());
+  check_int "a scope matches exactly, not by prefix" 1 (sent ~scope:"l1" ());
+  check_int "a reused scope's next object answers to #1" 100
+    (sent ~scope:"l1#1" ());
+  check_int "numbering is per name" 5
+    (Counters.total sim ~scope:"l1" "link.frames_dropped");
+  check_int "a scope with no entries sums to 0" 0 (sent ~scope:"nowhere" ());
+  check_int "nor does a reuse that never happened" 0 (sent ~scope:"l1#2" ())
+
+let test_counters_per_simulator () =
+  let a = Sim.create () and b = Sim.create () in
+  reg a ~scope:"sw" "switch.ecn_marked" 7;
+  reg b ~scope:"sw" "switch.ecn_marked" 2;
+  reg a ~scope:"sw" "switch.down_drops" 1;
+  check_int "first simulator" 7 (Counters.total a "switch.ecn_marked");
+  check_int "second simulator" 2 (Counters.total b "switch.ecn_marked");
+  check_bool "a name stays unknown where it was never registered" true
+    (match Counters.total b "switch.down_drops" with
+    | _ -> false
+    | exception Invalid_argument _ -> true)
+
+let test_counters_read_live_values () =
+  let sim = Sim.create () in
+  let bumps = ref 0 in
+  Counters.register sim ~scope:"x" [ ("x.bumps", fun r -> !r) ] bumps;
+  check_int "registered at 0" 0 (Counters.total sim "x.bumps");
+  incr bumps;
+  incr bumps;
+  check_int "a getter reads the field as it is now" 2
+    (Counters.total sim "x.bumps")
+
 let suite =
   [
+    ("counters: unknown name raises", `Quick,
+      test_counters_unknown_name_raises);
+    ("counters: scopes", `Quick, test_counters_scopes);
+    ("counters: one registry per simulator", `Quick,
+      test_counters_per_simulator);
+    ("counters: getters read live values", `Quick,
+      test_counters_read_live_values);
     ("time constructors", `Quick, test_time_constructors);
     ("time rates", `Quick, test_time_rates);
     ("time invalid args", `Quick, test_time_invalid);

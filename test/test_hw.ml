@@ -6,6 +6,11 @@ open Hw
 let check_int = Alcotest.(check int)
 let check_bool = Alcotest.(check bool)
 
+(* Registry reads: one named object's counter in [sim]; a standalone fault
+   (no link, no simulator) through its own getters. *)
+let counter sim scope name = Counters.total sim ~scope name
+let fault_count fault name = List.assoc name Fault.counters fault
+
 let raw ?frag ~src ~dst n =
   Eth_frame.make ~src:(Mac.of_node src) ~dst:(Mac.of_node dst) ~ethertype:0x88
     ~payload_bytes:n ?frag (Eth_frame.Raw n)
@@ -70,7 +75,7 @@ let test_link_back_to_back_pipelining () =
   done;
   Sim.run sim;
   check_int "all delivered" 100 !count;
-  check_int "sent counter" 100 (Link.frames_sent link);
+  check_int "sent counter" 100 (counter sim "l" "link.frames_sent");
   (* 100 frames of 1538 wire bytes at 1 Gbit/s: clock ends at last arrival *)
   check_int "stream duration" (100 * 12_304 + 500) (Sim.now sim)
 
@@ -87,7 +92,8 @@ let test_link_fault_injection () =
   done;
   Sim.run sim;
   check_int "two thirds delivered" 6 !count;
-  check_int "drops counted" 3 (Link.frames_dropped link)
+  check_int "drops counted" 3
+    (counter sim "l" "link.frames_dropped" + counter sim "l" "fault.drops")
 
 let test_fault_duplicate_copies () =
   let sim = Sim.create () in
@@ -100,8 +106,9 @@ let test_fault_duplicate_copies () =
   done;
   Sim.run sim;
   check_int "every frame arrives twice" 10 !count;
-  check_int "duplications counted" 5 (Fault.duplicates fault);
-  check_int "no drops" 0 (Link.frames_dropped link)
+  check_int "duplications counted" 5 (counter sim "l" "fault.duplicates");
+  check_int "no drops" 0
+    (counter sim "l" "link.frames_dropped" + counter sim "l" "fault.drops")
 
 let test_fault_gilbert_elliott_bursts () =
   let fault =
@@ -111,7 +118,7 @@ let test_fault_gilbert_elliott_bursts () =
   let n = 2000 in
   let pattern = List.init n (fun _ -> Fault.frame fault ~now:0 () = []) in
   let drops = List.length (List.filter Fun.id pattern) in
-  check_int "drops counted" drops (Fault.drops fault);
+  check_int "drops counted" drops (fault_count fault "fault.drops");
   (* stationary bad-state fraction is 0.05 / (0.05 + 0.2) = 20%, and the
      bad state loses everything: average loss must sit near 20% *)
   check_bool "loss near the stationary rate" true
@@ -135,7 +142,7 @@ let test_fault_flap_windows () =
     (Fault.frame fault ~now:(Time.us 12.) () = []);
   check_bool "up again next period" true
     (Fault.frame fault ~now:(Time.us 16.) () <> []);
-  check_int "the outage counted one drop" 1 (Fault.drops fault)
+  check_int "the outage counted one drop" 1 (fault_count fault "fault.drops")
 
 let test_fault_jitter_reorders () =
   let sim = Sim.create () in
@@ -172,8 +179,9 @@ let test_fault_compose_stages () =
   (* every 2nd frame dropped before the duplicator sees it; the three
      survivors each arrive twice *)
   check_int "survivors duplicated" 6 !count;
-  check_int "drops counted through compose" 3 (Fault.drops fault);
-  check_int "duplications counted through compose" 3 (Fault.duplicates fault)
+  check_int "drops counted through compose" 3 (counter sim "l" "fault.drops");
+  check_int "duplications counted through compose" 3
+    (counter sim "l" "fault.duplicates")
 
 let test_fault_corruption_flags_copies () =
   let fault = Fault.corrupt ~rng:(Rng.create ~seed:13) ~prob:1. in
@@ -182,8 +190,8 @@ let test_fault_corruption_flags_copies () =
     | [ { Fault.delay = 0; corrupt = true } ] -> ()
     | _ -> Alcotest.fail "expected one corrupted zero-delay copy"
   done;
-  check_int "corruptions counted" 5 (Fault.corruptions fault);
-  check_int "no drops" 0 (Fault.drops fault);
+  check_int "corruptions counted" 5 (fault_count fault "fault.corruptions");
+  check_int "no drops" 0 (fault_count fault "fault.drops");
   (* a corrupted frame still occupies the wire: composition with jitter
      keeps the flag *)
   let composed =
@@ -202,7 +210,7 @@ let test_link_no_receiver_drops () =
   let link = Link.create sim ~name:"l" ~bits_per_s:1e9 () in
   Link.send link (raw ~src:0 ~dst:1 100);
   Sim.run sim;
-  check_int "dropped" 1 (Link.frames_dropped link)
+  check_int "dropped" 1 (counter sim "l" "link.frames_dropped")
 
 (* ------------------------------------------------------------------ *)
 (* Switch *)
@@ -238,7 +246,7 @@ let test_switch_broadcast_floods () =
   Link.send (Switch.uplink sw ~node:0) bcast;
   Sim.run sim;
   Alcotest.(check (array int)) "all but sender" [| 0; 1; 1; 1 |] got;
-  check_int "flood copies" 3 (Switch.frames_flooded sw)
+  check_int "flood copies" 3 (counter sim "sw" "switch.frames_flooded")
 
 let test_switch_unknown_destination () =
   let sim = Sim.create () in
@@ -246,7 +254,7 @@ let test_switch_unknown_destination () =
   Switch.connect_node sw ~node:1 (fun _ -> ());
   Link.send (Switch.uplink sw ~node:0) (raw ~src:0 ~dst:9 100);
   Sim.run sim;
-  check_int "unroutable" 1 (Switch.frames_unroutable sw)
+  check_int "unroutable" 1 (counter sim "sw" "switch.frames_unroutable")
 
 let test_switch_duplicate_port () =
   let sim = Sim.create () in
@@ -403,7 +411,7 @@ let test_nic_rx_ring_overflow () =
   done;
   Sim.run sim;
   check_int "ring holds two" 2 (Nic.rx_pending b);
-  check_int "rest dropped" 3 (Nic.rx_dropped b)
+  check_int "rest dropped" 3 (counter sim "b" "nic.rx_dropped")
 
 let test_nic_bad_fcs_drops_at_mac () =
   (* A corrupting link: the receiving MAC recomputes the FCS and discards
@@ -428,9 +436,10 @@ let test_nic_bad_fcs_drops_at_mac () =
     post sim a (raw ~src:0 ~dst:1 1000)
   done;
   Sim.run sim;
-  check_int "every frame dropped as bad FCS" 5 (Nic.bad_fcs b);
+  check_int "every frame dropped as bad FCS" 5
+    (counter sim "nicB" "nic.bad_fcs");
   check_int "nothing reached the ring" 0 (Nic.rx_pending b);
-  check_int "no rx counted" 0 (Nic.rx_packets b);
+  check_int "no rx counted" 0 (counter sim "nicB" "nic.rx_packets");
   check_int "no interrupt for garbage" 0 !irqs
 
 let test_nic_power_off_mid_dma () =
@@ -495,7 +504,7 @@ let test_nic_fragmentation_roundtrip () =
   (* 4000B packet -> 3 wire frames -> one reassembled host packet *)
   post sim a (raw ~src:0 ~dst:1 4000);
   Sim.run sim;
-  check_int "one host packet" 1 (Nic.rx_packets b);
+  check_int "one host packet" 1 (counter sim "nicB" "nic.rx_packets");
   (match Nic.take_rx b with
   | [ d ] ->
       check_int "reassembled size" 4000 d.Nic.rx_frame.Eth_frame.payload_bytes;
@@ -525,8 +534,8 @@ let prop_fragmentation_counts =
       post sim a (raw ~src:0 ~dst:1 size);
       Sim.run sim;
       let expected_frames = (size + mtu - 1) / mtu in
-      Link.frames_sent ab = expected_frames
-      && Nic.rx_packets b = 1
+      counter sim "ab" "link.frames_sent" = expected_frames
+      && counter sim "b" "nic.rx_packets" = 1
       &&
       match Nic.take_rx b with
       | [ d ] -> d.Nic.rx_frame.Eth_frame.payload_bytes = size
@@ -654,8 +663,9 @@ let test_switch_counter_regression () =
       Link.send (Switch.uplink sw ~node:3) (raw ~src:3 ~dst:0 200));
   Sim.run sim;
   check_int "unicasts forwarded" 2 (Switch.frames_forwarded sw);
-  check_int "flood copies exclude ingress port" 3 (Switch.frames_flooded sw);
-  check_int "unroutable" 1 (Switch.frames_unroutable sw);
+  check_int "flood copies exclude ingress port" 3
+    (counter sim "sw" "switch.frames_flooded");
+  check_int "unroutable" 1 (counter sim "sw" "switch.frames_unroutable");
   check_int "no drops on an unloaded switch" 0
     (Switch.egress_drops sw + Switch.ingress_drops sw)
 
@@ -815,11 +825,12 @@ let test_switch_honors_station_pause () =
       Link.send (Switch.uplink sw ~node:0) (raw ~src:0 ~dst:1 1000));
   Sim.run sim;
   let gate_span = Mac_control.span_of_quanta ~bits_per_s:1e9 quanta in
-  check_int "station pause counted" 1 (Switch.pause_frames_rx sw);
+  check_int "station pause counted" 1
+    (counter sim "sw" "switch.pause_frames_rx");
   check_bool "delivery held for the pause span" true
     (!delivered_at > !pause_sent_at + gate_span);
   check_bool "egress pause time accounted" true
-    (Switch.egress_paused_ns sw > 0)
+    (counter sim "sw" "switch.egress_paused_ns" > 0)
 
 let test_switch_xon_resumes_early () =
   let sim = Sim.create () in
@@ -846,7 +857,8 @@ let test_switch_xon_resumes_early () =
   check_bool "delivered" true (!delivered_at > 0);
   check_bool "resumed well before the XOFF expiry" true
     (!delivered_at < full_span);
-  check_int "both control frames seen" 2 (Switch.pause_frames_rx sw)
+  check_int "both control frames seen" 2
+    (counter sim "sw" "switch.pause_frames_rx")
 
 let test_switch_protected_provisioning () =
   let sim = Sim.create () in
@@ -910,8 +922,9 @@ let test_nic_pause_gates_tx () =
   let span = Mac_control.span_of_quanta ~bits_per_s:1e9 quanta in
   check_bool "frame eventually sent" true (!wire_at >= 0);
   check_bool "held for the pause span" true (!wire_at >= span);
-  check_bool "pause time accounted" true (Nic.tx_paused_ns a >= span);
-  check_int "pause frame counted" 1 (Nic.pause_frames_rx a);
+  check_bool "pause time accounted"
+    true (counter sim "nicA" "nic.tx_paused_ns" >= span);
+  check_int "pause frame counted" 1 (counter sim "nicA" "nic.pause_frames_rx");
   check_bool "resumed" true (not (Nic.is_tx_paused a));
   check_int "receiver got exactly the data frame" 1 (Nic.rx_pending b)
 
@@ -934,7 +947,8 @@ let test_nic_xon_resumes_early () =
   check_bool "sent" true (!wire_at >= 0);
   check_bool "resumed on XON, not expiry" true (!wire_at < full);
   check_bool "paused span recorded" true
-    (Nic.tx_paused_ns a >= Time.us 15. && Nic.tx_paused_ns a < full)
+    (let paused = counter sim "nicA" "nic.tx_paused_ns" in
+     paused >= Time.us 15. && paused < full)
 
 let test_nic_without_pause_ignores_xoff () =
   let sim, a, b = nic_rig () in
@@ -951,10 +965,11 @@ let test_nic_without_pause_ignores_xoff () =
   let full = Mac_control.span_of_quanta ~bits_per_s:1e9 Mac_control.max_quanta in
   check_bool "legacy MAC transmits immediately" true
     (!wire_at >= 0 && !wire_at < full / 100);
-  check_int "no pause accounting" 0 (Nic.tx_paused_ns a);
+  check_int "no pause accounting" 0 (counter sim "nicA" "nic.tx_paused_ns");
   check_bool "never paused" true (not (Nic.is_tx_paused a));
   (* the control frame is consumed by the MAC, never surfaced to the host *)
-  check_int "control frame counted" 1 (Nic.pause_frames_rx a);
+  check_int "control frame counted" 1
+    (counter sim "nicA" "nic.pause_frames_rx");
   check_int "control frame not in the rx ring" 0 (Nic.rx_pending a);
   check_int "data frame still delivered" 1 (Nic.rx_pending b)
 
@@ -1032,7 +1047,8 @@ let test_switch_ttl_loop_drop () =
   Link.send (Switch.uplink a ~node:0) (raw ~src:0 ~dst:9 500);
   Sim.run sim;
   check_int "exactly one frame dies at the hop bound" 1
-    (Switch.frames_ttl_dropped a + Switch.frames_ttl_dropped b);
+    (counter sim "a" "switch.frames_ttl_dropped"
+    + counter sim "b" "switch.frames_ttl_dropped");
   check_int "the loop really crossed the trunk" 3
     (Switch.trunk_tx_frames a ~peer:"b")
 
@@ -1050,7 +1066,8 @@ let test_switch_learning_flood_then_unicast () =
     [ (a, 0); (a, 2); (b, 1) ];
   Link.send (Switch.uplink a ~node:0) (raw ~src:0 ~dst:1 500);
   Sim.run sim;
-  check_int "unknown unicast flooded" 1 (Switch.unknown_floods a);
+  check_int "unknown unicast flooded" 1
+    (counter sim "a" "switch.unknown_floods");
   check_int "bystander saw the flood" 1 got.(2);
   check_int "destination reached" 1 got.(1);
   Alcotest.(check (option string))
@@ -1059,7 +1076,8 @@ let test_switch_learning_flood_then_unicast () =
   (* the reply teaches a where node 1 lives *)
   Link.send (Switch.uplink b ~node:1) (raw ~src:1 ~dst:0 500);
   Sim.run sim;
-  check_int "reply went unicast off b's FDB" 0 (Switch.unknown_floods b);
+  check_int "reply went unicast off b's FDB" 0
+    (counter sim "b" "switch.unknown_floods");
   Alcotest.(check (option string))
     "a learned node 1" (Some "b")
     (Switch.fdb_lookup a ~node:1);
@@ -1067,7 +1085,8 @@ let test_switch_learning_flood_then_unicast () =
   got.(2) <- 0;
   Link.send (Switch.uplink a ~node:0) (raw ~src:0 ~dst:1 500);
   Sim.run sim;
-  check_int "second frame needed no flood" 1 (Switch.unknown_floods a);
+  check_int "second frame needed no flood" 1
+    (counter sim "a" "switch.unknown_floods");
   check_int "no bystander copy this time" 0 got.(2);
   check_int "destination reached again" 1 got.(1)
 
@@ -1109,7 +1128,7 @@ let test_switch_flush_fdb_refloods () =
   Link.send (Switch.uplink a ~node:0) (raw ~src:0 ~dst:1 100);
   Link.send (Switch.uplink b ~node:1) (raw ~src:1 ~dst:0 100);
   Sim.run sim;
-  check_int "initial unknown flood" 1 (Switch.unknown_floods a);
+  check_int "initial unknown flood" 1 (counter sim "a" "switch.unknown_floods");
   Alcotest.(check (option string))
     "learned from the reply" (Some "b")
     (Switch.fdb_lookup a ~node:1);
@@ -1119,7 +1138,8 @@ let test_switch_flush_fdb_refloods () =
     (Switch.fdb_lookup a ~node:1);
   Link.send (Switch.uplink a ~node:0) (raw ~src:0 ~dst:1 100);
   Sim.run sim;
-  check_int "floods again after the flush" 2 (Switch.unknown_floods a)
+  check_int "floods again after the flush" 2
+    (counter sim "a" "switch.unknown_floods")
 
 let test_switch_ecmp_spread () =
   let sim = Sim.create () in
@@ -1181,9 +1201,10 @@ let test_switch_trunk_pause_propagates () =
   check_int "everything delivered" 24 !got;
   check_bool "downstream switch XOFFed its upstream peer" true
     (Switch.pause_frames_tx b >= 2);
-  check_bool "upstream switch heard it" true (Switch.pause_frames_rx a >= 2);
+  check_bool "upstream switch heard it"
+    true (counter sim "a" "switch.pause_frames_rx" >= 2);
   check_bool "upstream trunk pump actually sat gated" true
-    (Switch.egress_paused_ns a > 0);
+    (counter sim "a" "switch.egress_paused_ns" > 0);
   check_int "PAUSE kept the whole fabric lossless" 0
     (Switch.egress_drops a + Switch.ingress_drops a + Switch.egress_drops b
    + Switch.ingress_drops b);
@@ -1269,7 +1290,8 @@ let test_switch_set_down_drains () =
         Link.send (Switch.uplink sw ~node:1) (raw ~src:1 ~dst:2 500)
       done);
   Sim.run sim;
-  check_bool "frames were refused while down" true (Switch.down_drops sw > 0);
+  check_bool "frames were refused while down"
+    true (counter sim "sw" "switch.down_drops" > 0);
   check_bool "power-up is visible" false (Switch.is_down sw);
   check_int "revived switch forwards again" (!down_mark + 3) !got
 
@@ -1293,9 +1315,9 @@ let test_fault_brownout_slows_without_dropping () =
   (match Fault.frame fault ~now:(Time.us 10.) ~ser:1000 () with
   | [ { Fault.delay = 2000; corrupt = false } ] -> ()
   | _ -> Alcotest.fail "expected queued 2000 ns sag on second frame");
-  check_int "slowed frames counted" 2 (Fault.slowed fault);
-  check_int "sag nanoseconds counted" 3000 (Fault.slow_ns fault);
-  check_int "a brownout never drops" 0 (Fault.drops fault);
+  check_int "slowed frames counted" 2 (fault_count fault "fault.slowed");
+  check_int "sag nanoseconds counted" 3000 (fault_count fault "fault.slow_ns");
+  check_int "a brownout never drops" 0 (fault_count fault "fault.drops");
   (* after the window: clean again *)
   match Fault.frame fault ~now:(Time.us 30.) ~ser:1000 () with
   | [ { Fault.delay = 0; corrupt = false } ] -> ()
@@ -1317,18 +1339,21 @@ let test_fault_brownout_validation () =
 let test_nic_slow_factor_inflates_service () =
   let sim, a, b = nic_rig ~coalesce:Nic.no_coalesce () in
   check_bool "factor starts at 1" true (Nic.slow_factor a = 1.0);
-  check_int "no inflation before the knob turns" 0 (Nic.slow_extra_ns a);
+  check_int "no inflation before the knob turns" 0
+    (counter sim "nicA" "nic.slow_extra_ns");
   Nic.set_slow_factor a 3.0;
   post sim a (raw ~src:0 ~dst:1 1000);
   Sim.run sim;
   check_int "frame still delivered" 1 (Nic.rx_pending b);
-  check_bool "inflated service time accounted" true (Nic.slow_extra_ns a > 0);
-  let inflated = Nic.slow_extra_ns a in
+  check_bool "inflated service time accounted"
+    true (counter sim "nicA" "nic.slow_extra_ns" > 0);
+  let inflated = counter sim "nicA" "nic.slow_extra_ns" in
   (* back to healthy: the multiplier path is an exact no-op at 1.0 *)
   Nic.set_slow_factor a 1.0;
   post sim a (raw ~src:0 ~dst:1 1000);
   Sim.run sim;
-  check_int "no further inflation at factor 1" inflated (Nic.slow_extra_ns a);
+  check_int "no further inflation at factor 1"
+    inflated (counter sim "nicA" "nic.slow_extra_ns");
   Alcotest.check_raises "factor below one"
     (Invalid_argument "Nic.set_slow_factor: factor < 1") (fun () ->
       Nic.set_slow_factor a 0.5)
@@ -1348,9 +1373,9 @@ let test_switch_egress_stall_delays_pump () =
   (match !arrivals with
   | [ t ] -> check_bool "held until the stall cleared" true (t >= Time.us 50.)
   | _ -> Alcotest.fail "expected exactly one delivery");
-  check_int "stall counted" 1 (Switch.egress_stalls sw);
+  check_int "stall counted" 1 (counter sim "sw" "switch.egress_stalls");
   check_bool "stall span accounted" true
-    (Switch.egress_stall_ns sw >= Time.us 50.);
+    (counter sim "sw" "switch.egress_stall_ns" >= Time.us 50.);
   check_int "nothing dropped" 0 (Switch.egress_drops sw);
   Alcotest.check_raises "non-positive span"
     (Invalid_argument "Switch.inject_stall: span <= 0") (fun () ->

@@ -392,30 +392,15 @@ let test_allreduce_message_count () =
     [ 2; 3; 5 ]
 
 (* Collectives under injected loss: the reliable channel underneath must
-   absorb the drops.  The fault thunks are stashed so the test can prove
-   frames really were discarded. *)
+   absorb the drops.  The links' [fault.drops] counters prove frames
+   really were discarded. *)
 
-let lossy_config mk =
-  let faults = ref [] in
-  let config =
-    {
-      Node.default_config with
-      link_fault =
-        Some
-          (fun () ->
-            let f = mk () in
-            faults := f :: !faults;
-            f);
-    }
-  in
-  (config, faults)
-
-let injected faults =
-  List.fold_left (fun acc f -> acc + Hw.Fault.drops f) 0 !faults
+let lossy_config mk = { Node.default_config with link_fault = Some mk }
+let injected c = Counters.total c.Net.sim "fault.drops"
 
 let test_mpi_bcast_under_loss () =
   let n = 5 in
-  let config, faults =
+  let config =
     lossy_config (fun () -> Hw.Fault.drop ~rng:(Rng.create ~seed:11) ~prob:0.05)
   in
   let c = Net.create ~config ~n () in
@@ -426,7 +411,7 @@ let test_mpi_bcast_under_loss () =
       incr done_);
   Net.run c;
   check_int "all ranks complete under loss" n !done_;
-  check_bool "loss was actually injected" true (injected faults > 0)
+  check_bool "loss was actually injected" true (injected c > 0)
 
 let test_clic_bcast_under_loss () =
   (* The broadcast data frame itself is unreliable Ethernet multicast and
@@ -434,7 +419,7 @@ let test_clic_bcast_under_loss () =
      only confirmations and acknowledgements, which the sequenced channel
      retransmits. *)
   let n = 5 in
-  let config, faults = lossy_config (fun () -> Hw.Fault.drop_nth ~every:2) in
+  let config = lossy_config (fun () -> Hw.Fault.drop_nth ~every:2) in
   let c = Net.create ~config ~n () in
   let port = 34 in
   let done_at = ref 0 in
@@ -449,7 +434,7 @@ let test_clic_bcast_under_loss () =
       done_at := Sim.now c.Net.sim);
   Net.run c;
   check_bool "root saw all confirmations despite loss" true (!done_at > 0);
-  check_bool "loss was actually injected" true (injected faults > 0)
+  check_bool "loss was actually injected" true (injected c > 0)
 
 let suite =
   List.concat_map

@@ -716,6 +716,27 @@ let test_fig7_figure_golden () =
   check_bool "figure fig7 equals golden/fig7.figure.txt" true
     (String.equal (Buffer.contents buf) (read_file "golden/fig7.figure.txt"))
 
+(* The `--quick` text of the experiments that print component counters
+   (retransmissions, switch drops, PAUSE and ECN counts, SACKed segments)
+   is pinned byte for byte: golden/<id>.quick.txt is `clic-sim figure
+   <id> --quick`'s standard output. *)
+let counter_figure_ids = [ "stress"; "chaos"; "incast"; "fabric"; "congestion" ]
+
+let test_counter_figure_goldens () =
+  List.iter
+    (fun id ->
+      let buf = Buffer.create 4096 in
+      let fmt = Format.formatter_of_buffer buf in
+      let violations = (Check.Experiment.find id).run ~quick:true fmt in
+      Format.pp_print_flush fmt ();
+      check_int (id ^ " holds its contract") 0 (List.length violations);
+      let golden = Printf.sprintf "golden/%s.quick.txt" id in
+      check_bool
+        (Printf.sprintf "figure %s --quick equals %s" id golden)
+        true
+        (String.equal (Buffer.contents buf) (read_file golden)))
+    counter_figure_ids
+
 (* The JSON string escaping the exporter used to apply to every string,
    kept here as the reference for its escape-only-when-needed writer. *)
 let reference_escape s =
@@ -827,6 +848,8 @@ let suite =
     ("timeline determinism", `Quick, test_timeline_deterministic);
     ("fig7 exports equal the goldens", `Quick, test_fig7_goldens);
     ("fig7 figure text equals its golden", `Quick, test_fig7_figure_golden);
+    ("counter figures' --quick text equals the goldens", `Quick,
+      test_counter_figure_goldens);
     ("timeline string escaping", `Quick, test_timeline_escaping);
     ("timeline ts/dur digits", `Quick, test_timeline_ts_digits);
     ("timeline flow ids unique", `Quick, test_timeline_flow_ids_unique);

@@ -91,7 +91,8 @@ let test_interrupt_dispatch_latency () =
   Sim.run sim;
   check_int "6us dispatch + 2us isr" (Time.us 8.) !ran_at;
   check_int "delivered" 1 (Interrupt.irqs_delivered intr);
-  check_int "isr accounted" (Time.us 2.) (Interrupt.time_in_isr intr)
+  check_int "isr accounted" (Time.us 2.)
+    (Counters.total sim ~scope:"cpu0.irq" "irq.isr_ns")
 
 let test_bottom_half_runs_after_isr () =
   let sim, cpu = rig () in
@@ -294,6 +295,13 @@ let driver_rig ?params () =
       ?params () in
   (sim, cpu_a, drv_a, drv_b)
 
+(* A counter of the receiving side's NIC ("nicB") or its driver. *)
+let receiver sim name =
+  let scope =
+    if String.starts_with ~prefix:"nic." name then "nicB" else "nicB.driver"
+  in
+  Counters.total sim ~scope name
+
 let test_driver_end_to_end_upcall () =
   let sim, _, drv_a, drv_b = driver_rig () in
   let received = ref [] in
@@ -310,7 +318,7 @@ let test_driver_end_to_end_upcall () =
       check_bool "posted" true ok);
   Sim.run sim;
   Alcotest.(check (list int)) "payload delivered" [ 1026 ] !received;
-  check_int "one upcall" 1 (Driver.rx_upcalls drv_b)
+  check_int "one upcall" 1 (receiver sim "driver.rx_upcalls")
 
 let test_driver_direct_mode_skips_bh () =
   let params = { Driver.default_params with rx_mode = Driver.Direct_from_isr } in
@@ -359,7 +367,7 @@ let test_driver_batches_under_load () =
   check_int "all delivered" 20 !upcalls;
   (* Interrupt masking during ISR processing must batch several frames per
      interrupt: far fewer than 20 interrupts. *)
-  let irqs = Nic.interrupts_raised (Driver.nic drv_b) in
+  let irqs = receiver sim "nic.interrupts_raised" in
   check_bool "fewer interrupts than frames" true (irqs < 20);
   check_bool "at least one interrupt" true (irqs >= 1)
 
@@ -396,16 +404,16 @@ let test_driver_napi_engages_and_exits () =
   check_int "storm fully delivered" 40 !upcalls;
   check_bool "polling engaged" true (Driver.poll_passes drv_b > 0);
   check_bool "packets moved by the poll loop" true
-    (Driver.polled_packets drv_b > 0);
+    (receiver sim "driver.polled_packets" > 0);
   (* the ring drained, so the driver handed rx back to interrupts: an even
      number of switches and not polling at quiesce *)
   check_bool "returned to interrupt mode" false (Driver.is_polling drv_b);
   check_bool "switched in and back out" true
-    (Driver.poll_mode_switches drv_b >= 2
-    && Driver.poll_mode_switches drv_b mod 2 = 0);
+    (let switches = receiver sim "driver.poll_mode_switches" in
+     switches >= 2 && switches mod 2 = 0);
   (* mitigation bound: far fewer interrupts than frames *)
   check_bool "interrupt rate collapsed" true
-    (Nic.interrupts_raised (Driver.nic drv_b) < 20)
+    (receiver sim "nic.interrupts_raised" < 20)
 
 let test_driver_napi_budget_bounds_passes () =
   let sim, _, drv_a, drv_b = driver_rig ~params:napi_params () in
@@ -430,7 +438,7 @@ let test_driver_napi_budget_bounds_passes () =
         true
         (processed >= 0 && processed <= budget))
     !passes;
-  let polled = Driver.polled_packets drv_b in
+  let polled = receiver sim "driver.polled_packets" in
   check_int "per-pass counts add up to the polled total" polled
     (List.fold_left (fun acc (p, _) -> acc + p) 0 !passes)
 
@@ -447,7 +455,7 @@ let test_driver_napi_hysteresis_ignores_slow_traffic () =
       done);
   Sim.run sim;
   check_int "all delivered" 10 !upcalls;
-  check_int "no mode switch" 0 (Driver.poll_mode_switches drv_b);
+  check_int "no mode switch" 0 (receiver sim "driver.poll_mode_switches");
   check_int "no poll pass" 0 (Driver.poll_passes drv_b)
 
 let suite =

@@ -101,6 +101,9 @@ let test_udp_ports_and_dispatch () =
 (* ------------------------------------------------------------------ *)
 (* TCP *)
 
+let tcp_count c ~node name =
+  Counters.total c.Net.sim ~scope:(Printf.sprintf "node%d.tcp" node) name
+
 let tcp_conn_pair ?config () =
   let c, na, nb = two_nodes ?config () in
   Tcp.listen nb.Node.tcp ~port:80;
@@ -119,7 +122,7 @@ let test_tcp_handshake_and_transfer () =
   Net.run c;
   check_bool "transferred" true !got;
   check_int "no retransmits on a clean network" 0
-    (Tcp.retransmits na.Node.tcp)
+    (tcp_count c ~node:0 "tcp.retransmits")
 
 let test_tcp_segmentation_respects_mss () =
   let c, na, nb = tcp_conn_pair () in
@@ -154,7 +157,8 @@ let test_tcp_recovers_from_loss () =
       Tcp.send conn total);
   Net.run c;
   check_bool "completed despite drops" true !done_;
-  check_bool "retransmissions happened" true (Tcp.retransmits na.Node.tcp > 0)
+  check_bool "retransmissions happened" true
+    (tcp_count c ~node:0 "tcp.retransmits" > 0)
 
 let test_tcp_flow_control_blocks_sender () =
   let c, na, nb = tcp_conn_pair () in
@@ -254,11 +258,9 @@ let test_tcp_piggybacked_acks () =
         Tcp.recv conn 1000
       done);
   Net.run c;
-  check_bool
-    (Printf.sprintf "few pure acks (%d + %d)" (Tcp.acks_sent na.Node.tcp)
-       (Tcp.acks_sent nb.Node.tcp))
-    true
-    (Tcp.acks_sent na.Node.tcp + Tcp.acks_sent nb.Node.tcp <= 6)
+  let a = tcp_count c ~node:0 "tcp.acks_sent"
+  and b = tcp_count c ~node:1 "tcp.acks_sent" in
+  check_bool (Printf.sprintf "few pure acks (%d + %d)" a b) true (a + b <= 6)
 
 let test_tcp_delayed_ack_timer_fires () =
   (* A single odd segment with no reverse traffic is acknowledged by the
@@ -271,7 +273,8 @@ let test_tcp_delayed_ack_timer_fires () =
       let conn = Tcp.connect na.Node.tcp ~dst:1 ~port:80 in
       Tcp.send conn 500);
   Net.run c;
-  check_bool "timer-driven ack emitted" true (Tcp.acks_sent nb.Node.tcp >= 1);
+  check_bool "timer-driven ack emitted" true
+    (tcp_count c ~node:1 "tcp.acks_sent" >= 1);
   (* the delack timeout must have elapsed on the simulated clock *)
   check_bool "clock passed the delack timeout" true
     (Sim.now c.Net.sim >= Time.ms 40.)

@@ -17,7 +17,7 @@
 
    - records every blocking-primitive call site, every [Obj.magic]-family
      mention, every [Probe.emit] mention together with whether it sits
-     under an inline [!Probe.on] / [Probe.enabled ()] guard, and every
+     under an inline [!Probe.on] guard, and every
      syntactic allocation inside a [@clic.hot] function;
 
    - tracks the active waiver attributes ([@clic.allow_block],
@@ -37,8 +37,8 @@
        except under a [!Probe.on] guard (the probes-off steady state
        never runs that branch) or a [@clic.alloc_ok] waiver.
    R4  every [Probe.emit] mention must be dominated by an inline
-       [!Probe.on] / [Probe.enabled ()] check (the then-branch of an
-       [if], or a [when] guard) or carry [@clic.probe_ok].
+       [!Probe.on] check (the then-branch of an [if], or a [when] guard)
+       or carry [@clic.probe_ok].
 
    Known blind spots of the approximation are documented in DESIGN.md
    §12: cross-module calls are only classified when they hit the
@@ -187,8 +187,8 @@ let parse_source parse path =
 
 let parse_file = parse_source Parse.implementation
 
-(* Does an expression mention the probe-enabled flag?  Covers [!Probe.on],
-   [Probe.enabled ()], and compound conditions containing either. *)
+(* Does an expression mention the probe-enabled flag?  Covers [!Probe.on]
+   and compound conditions containing it. *)
 let mentions_probe_flag expr =
   let found = ref false in
   let it =
@@ -199,8 +199,7 @@ let mentions_probe_flag expr =
           (match e.pexp_desc with
           | Pexp_ident { txt; _ } ->
               let p = dotted txt in
-              if path_matches p "Probe.on" || path_matches p "Probe.enabled"
-              then found := true
+              if path_matches p "Probe.on" then found := true
           | _ -> ());
           Ast_iterator.default_iterator.expr it e);
     }
@@ -305,9 +304,8 @@ let analyze file =
       if !guard_depth = 0 && not (waived "clic.probe_ok") then
         finding Lint_diag.R4 loc
           (Printf.sprintf
-             "`Probe.emit` not dominated by an inline `!Probe.on` / \
-              `Probe.enabled ()` check (in %s); guard it or use a guarded \
-              wrapper"
+             "`Probe.emit` not dominated by an inline `!Probe.on` check \
+              (in %s); guard it or use a guarded wrapper"
              (context_name ()))
   in
   let note_leaf loc prim =
