@@ -33,4 +33,9 @@ let transfer ?priority t n =
   t.bytes <- t.bytes + n;
   Resource.use ?priority t.res span
 
+let transfer_then ?priority t n k =
+  let span = transfer_time t n in
+  t.bytes <- t.bytes + n;
+  Resource.hold ?priority t.res span k
+
 let bytes_moved t = t.bytes

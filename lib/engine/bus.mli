@@ -29,4 +29,10 @@ val transfer_time : t -> int -> Time.span
 val transfer : ?priority:Resource.priority -> t -> int -> unit
 (** Blocks the calling process for queueing plus {!transfer_time}. *)
 
+val transfer_then :
+  ?priority:Resource.priority -> t -> int -> (unit -> unit) -> unit
+(** Callback form of {!transfer} ({!Resource.hold}): occupies the bus for
+    queueing plus {!transfer_time}, then calls the continuation.  Needs no
+    process. *)
+
 val bytes_moved : t -> int

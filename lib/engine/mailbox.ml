@@ -9,6 +9,11 @@ let send t v =
 
 let try_recv t = Queue.take_opt t.items
 
+let on_recv t k =
+  match Queue.take_opt t.items with
+  | Some v -> k v
+  | None -> Queue.add k t.blocked
+
 let recv t =
   match Queue.take_opt t.items with
   | Some v -> v

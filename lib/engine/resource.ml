@@ -31,11 +31,14 @@ let release t =
       | Some next -> next ()
       | None -> t.busy <- false)
 
+(* Waiters of both kinds — a blocked process's [resume] and a callback
+   hold's grant — share one FIFO per class, so FCFS order holds across
+   them. *)
+let enqueue t priority waiter =
+  Queue.add waiter (match priority with `High -> t.high | `Low -> t.low)
+
 let acquire ?(priority = `Low) t =
-  if t.busy then
-    Process.await (fun resume ->
-        let q = match priority with `High -> t.high | `Low -> t.low in
-        Queue.add resume q)
+  if t.busy then Process.await (fun resume -> enqueue t priority resume)
   else t.busy <- true
 
 (* Positive-duration grants double as occupancy spans for the
@@ -65,9 +68,33 @@ let use_f ?priority t f =
       release t;
       raise exn
 
+(* The granted half of a timed hold: the steps [use_f] takes around a
+   [Process.delay span], with the delay as one posted event. *)
+let grant t span k () =
+  let started = Sim.now t.sim in
+  t.grants <- t.grants + 1;
+  Sim.post t.sim ~after:span (fun () ->
+      t.busy_time <- t.busy_time + Time.diff (Sim.now t.sim) started;
+      probe_span t started;
+      release t;
+      k ())
+
+let hold ?(priority = `Low) t span k =
+  if span < 0 then invalid_arg "Resource.hold: negative span";
+  if t.busy then enqueue t priority (grant t span k)
+  else begin
+    t.busy <- true;
+    grant t span k ()
+  end
+
+(* A contended caller parks a timed hold in the queue rather than a bare
+   wake-up: the release that grants it starts the hold directly, so the
+   process resumes once, after its span, instead of being woken only to
+   suspend again in [Process.delay]. *)
 let use ?priority t span =
   if span < 0 then invalid_arg "Resource.use: negative span";
-  use_f ?priority t (fun () -> Process.delay span)
+  if t.busy then Process.await (fun resume -> hold ?priority t span resume)
+  else use_f ?priority t (fun () -> Process.delay span)
 
 let busy_time t = t.busy_time
 let grants t = t.grants

@@ -26,6 +26,15 @@ val use_f : ?priority:priority -> t -> (unit -> 'a) -> 'a
     model service time and returns a value), then releases.  The time spent
     inside [f] is accounted as busy time. *)
 
+val hold : ?priority:priority -> t -> Time.span -> (unit -> unit) -> unit
+(** [hold r span k] is the callback form of {!use}: it is granted now or,
+    when [r] is busy, when a release reaches it in its class's queue
+    (callback holds and blocked {!use} callers share one FCFS queue per
+    class); it then occupies [r] for [span] (one posted event, also for a
+    zero span), releases it with {!use}'s accounting and busy span, and
+    calls [k].  Needs no process.
+    @raise Invalid_argument on a negative span. *)
+
 val is_busy : t -> bool
 
 (** {1 Accounting} *)

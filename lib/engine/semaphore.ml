@@ -42,5 +42,8 @@ let acquire ?(n = 1) t =
   if not (try_acquire ~n t) then
     Process.await (fun resume -> Queue.add { need = n; resume } t.queue)
 
+let on_acquire ?(n = 1) t k =
+  if try_acquire ~n t then k () else Queue.add { need = n; resume = k } t.queue
+
 let available t = t.permits
 let waiters t = Queue.length t.queue

@@ -13,6 +13,11 @@ val acquire : ?n:int -> t -> unit
     then takes them.  Waiters are served strictly in FIFO order: a large
     request at the head blocks later small ones (no starvation). *)
 
+val on_acquire : ?n:int -> t -> (unit -> unit) -> unit
+(** Callback form of {!acquire}: takes the permits and calls [k] now if
+    {!try_acquire} would succeed, else queues [k] in the same FIFO as
+    blocked processes and calls it when a {!release} reaches it. *)
+
 val try_acquire : ?n:int -> t -> bool
 val release : ?n:int -> t -> unit
 val available : t -> int

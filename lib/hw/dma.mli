@@ -6,6 +6,10 @@
     steals memory bandwidth from concurrent CPU copies — the paper notes a
     copy "uses system resources such as the memory and PCI buses"). *)
 
-val transfer : pci:Engine.Bus.t -> membus:Engine.Bus.t -> int -> unit
-(** Blocks the calling process until both bus crossings complete.  Zero-byte
-    transfers return immediately.  Must run inside a process. *)
+val transfer :
+  pci:Engine.Bus.t -> membus:Engine.Bus.t -> int -> (unit -> unit) -> unit
+(** [transfer ~pci ~membus n k] moves [n] bytes and calls [k] once both bus
+    crossings complete, in callback context: [k] runs inside an event and
+    must not block.  A zero-byte transfer calls [k] at once and emits no
+    span.  Needs no process.
+    @raise Invalid_argument on a negative size. *)

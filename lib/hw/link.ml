@@ -98,18 +98,19 @@ let has_room t =
   | None -> true
 
 (* Wake every waiter; each re-checks [has_room] and re-queues if another
-   woken process grabbed the slot first. *)
+   woken waiter grabbed the slot first. *)
 let notify_room t =
   while not (Queue.is_empty t.room_waiters) do
     Ivar.fill (Queue.take t.room_waiters) ()
   done
 
-let wait_room t =
-  while not (has_room t) do
+let rec on_room t k =
+  if has_room t then k ()
+  else begin
     let iv = Ivar.create () in
     Queue.add iv t.room_waiters;
-    Ivar.read iv
-  done
+    Ivar.on_fill iv (fun () -> on_room t k)
+  end
 
 let rec pump t =
   match Queue.take_opt t.queue with

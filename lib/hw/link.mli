@@ -56,11 +56,11 @@ val send : t -> Eth_frame.t -> unit
 val has_room : t -> bool
 (** Whether {!send} would enqueue rather than drop right now. *)
 
-val wait_room : t -> unit
-(** Blocks the calling process until the transmit queue has room (a NIC
-    respecting backpressure instead of blind-dumping into a full uplink).
-    Returns immediately when the queue is unbounded or has space.  Must be
-    called from process context. *)
+val on_room : t -> (unit -> unit) -> unit
+(** [on_room t k] calls [k] once the transmit queue has room (a NIC
+    respecting backpressure instead of blind-dumping into a full uplink):
+    at once when the queue is unbounded or has space, else from the event
+    that frees a slot.  Needs no process. *)
 
 val serialization_time : t -> Eth_frame.t -> Engine.Time.span
 (** Uncontended wire occupancy of one frame. *)

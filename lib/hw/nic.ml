@@ -287,59 +287,85 @@ let wire_frames t (frame : Eth_frame.t) =
 (* The transmit path is a two-stage pipeline, as in real NICs: the DMA
    engine fetches descriptor n+1 while the MAC/firmware stage is still
    pushing descriptor n onto the wire.  A small FIFO (in packets) couples
-   the stages. *)
-let tx_dma_pump t () =
-  let rec loop () =
-    let desc = Mailbox.recv t.tx_queue in
-    let frame = desc.frame in
-    let host_bytes = Eth_frame.header_bytes + frame.payload_bytes in
-    if desc.needs_dma then Dma.transfer ~pci:t.pci ~membus:t.membus host_bytes;
-    Semaphore.acquire t.phy_slots;
-    Mailbox.send t.phy_queue desc;
-    loop ()
-  in
-  loop ()
+   the stages.
 
-let tx_phy_pump t () =
-  let rec loop () =
-    let desc = Mailbox.recv t.phy_queue in
-    let frame = desc.frame in
-    let host_bytes = Eth_frame.header_bytes + frame.payload_bytes in
-    if desc.internal_copy then
-      Process.delay (service_span t (internal_move_time t host_bytes));
-    let frames = wire_frames t frame in
-    List.iter
-      (fun f ->
-        Process.delay (service_span t t.firmware_per_frame);
-        (* A powered-off NIC cannot reach the wire, but completion still
-           runs so the posted buffer is released through the normal path. *)
-        match t.uplink with
-        | Some link when not t.down -> (
-            match t.pause with
-            | None -> Link.send link f
-            | Some _ ->
-                (* Flow-controlled MAC: hold the frame while PAUSEd, and
-                   respect uplink backpressure instead of blind-dumping
-                   into a full switch FIFO.  Both conditions re-check
-                   after every wake — a resume can race a new XOFF. *)
-                while t.tx_paused || not (Link.has_room link) do
-                  if t.tx_paused then Ivar.read t.pause_wake
-                  else Link.wait_room link
-                done;
-                if not t.down then begin
-                  if !Probe.on then
-                    Probe.emit (Probe.Tx_wire { host = t.name });
-                  Link.send link f
-                end)
-        | Some _ | None -> ())
-      frames;
-    t.tx_packets <- t.tx_packets + 1;
-    Semaphore.release t.phy_slots;
-    Semaphore.release t.tx_slots;
-    desc.on_complete ();
-    loop ()
-  in
-  loop ()
+   Both stages, and the receive stage below, are run-to-completion
+   callbacks, like NIC firmware: each service delay is a posted event and
+   each wait a callback receive, acquire or ivar fill, so no stage needs
+   a process.  Each step is [@clic.atomic] — none may block — and posts
+   exactly the events, in the order, that a blocking loop over the same
+   steps would. *)
+let[@clic.atomic] rec tx_dma_pump t () =
+  Mailbox.on_recv t.tx_queue (tx_dma_fetch t)
+
+and[@clic.atomic] tx_dma_fetch t desc =
+  if desc.needs_dma then
+    Dma.transfer ~pci:t.pci ~membus:t.membus
+      (Eth_frame.header_bytes + desc.frame.payload_bytes)
+      (fun () -> tx_dma_handoff t desc)
+  else tx_dma_handoff t desc
+
+and[@clic.atomic] tx_dma_handoff t desc =
+  Semaphore.on_acquire t.phy_slots (fun () ->
+      Mailbox.send t.phy_queue desc;
+      tx_dma_pump t ())
+
+let[@clic.atomic] rec tx_phy_pump t () =
+  Mailbox.on_recv t.phy_queue (tx_phy_start t)
+
+and[@clic.atomic] tx_phy_start t desc =
+  if desc.internal_copy then
+    Sim.post t.sim
+      ~after:
+        (service_span t
+           (internal_move_time t
+              (Eth_frame.header_bytes + desc.frame.payload_bytes)))
+      (tx_phy_split t desc)
+  else tx_phy_split t desc ()
+
+and[@clic.atomic] tx_phy_split t desc () =
+  tx_phy_frames t desc (wire_frames t desc.frame)
+
+(* One firmware pass per wire frame, then the descriptor completes. *)
+and[@clic.atomic] tx_phy_frames t desc = function
+  | [] ->
+      t.tx_packets <- t.tx_packets + 1;
+      Semaphore.release t.phy_slots;
+      Semaphore.release t.tx_slots;
+      desc.on_complete ();
+      tx_phy_pump t ()
+  | f :: rest ->
+      Sim.post t.sim
+        ~after:(service_span t t.firmware_per_frame)
+        (tx_phy_emit t desc f rest)
+
+and[@clic.atomic] tx_phy_emit t desc f rest () =
+  (* A powered-off NIC cannot reach the wire, but completion still runs so
+     the posted buffer is released through the normal path. *)
+  match t.uplink with
+  | Some link when not t.down -> (
+      match t.pause with
+      | None ->
+          Link.send link f;
+          tx_phy_frames t desc rest
+      | Some _ -> tx_phy_gate t desc link f rest)
+  | Some _ | None -> tx_phy_frames t desc rest
+
+(* Flow-controlled MAC: hold the frame while PAUSEd, and respect uplink
+   backpressure instead of blind-dumping into a full switch FIFO.  Both
+   conditions re-check after every wake — a resume can race a new XOFF. *)
+and[@clic.atomic] tx_phy_gate t desc link f rest =
+  if t.tx_paused then
+    Ivar.on_fill t.pause_wake (fun () -> tx_phy_gate t desc link f rest)
+  else if not (Link.has_room link) then
+    Link.on_room link (fun () -> tx_phy_gate t desc link f rest)
+  else begin
+    if not t.down then begin
+      if !Probe.on then Probe.emit (Probe.Tx_wire { host = t.name });
+      Link.send link f
+    end;
+    tx_phy_frames t desc rest
+  end
 
 (* --------------------------------------------------------------- *)
 (* Receive pipeline *)
@@ -373,69 +399,88 @@ let reassemble t (frame : Eth_frame.t) =
 let[@clic.hot] admit_host_bytes t bytes =
   match t.rx_admission with None -> true | Some admit -> admit ~bytes
 
-let rx_pump t () =
-  let rec loop () =
-    let frame = Mailbox.recv t.rx_wire in
-    Process.delay (service_span t t.firmware_per_frame);
-    (if t.down then ()
-     else if frame.Eth_frame.corrupted then
-       (* The MAC recomputes the FCS over the damaged bits and discards
-          the frame before it ever reaches the ring. *)
-       t.bad_fcs <- t.bad_fcs + 1
-     else
+(* The firmware's verdict on one received frame: [Some packet] when a
+   whole packet won a ring slot and must be DMA'd into the host. *)
+let rx_classify t frame =
+  if t.down then None
+  else if frame.Eth_frame.corrupted then begin
+    (* The MAC recomputes the FCS over the damaged bits and discards the
+       frame before it ever reaches the ring. *)
+    t.bad_fcs <- t.bad_fcs + 1;
+    None
+  end
+  else
     match Mac_control.quanta_of frame with
-    | Some quanta -> on_pause_frame t ~quanta
-    | None ->
-    match reassemble t frame with
-    | None -> ()
-    | Some packet ->
-        if not (admit_host_bytes t (Eth_frame.buffer_bytes packet)) then
-          (* Host kernel pool at its hard watermark: shed the frame here,
-             with its own counted reason, rather than letting the
-             allocation fail deeper in the stack.  Reliable senders
-             retransmit. *)
-          t.rx_dropped_mem <- t.rx_dropped_mem + 1
-        else if Semaphore.try_acquire t.rx_slots then begin
-          let host_bytes = Eth_frame.buffer_bytes packet in
-          Dma.transfer ~pci:t.pci ~membus:t.membus host_bytes;
-          if t.down then
-            (* Power failed while the DMA was in flight: the ring this
-               descriptor was headed for has already been drained, so
-               landing it now would strand it there forever.  The slot we
-               took must go back — power_off only released the slots that
-               were in the ring at the instant it ran. *)
-            Semaphore.release t.rx_slots
-          else begin
-          let rx_id = !next_rx_id in
-          incr next_rx_id;
-          if !Probe.on then
-            Probe.emit
-              (Probe.Obj_alloc
-                 {
-                   kind = Probe.Rx_buffer;
-                   id = rx_id;
-                   bytes = host_bytes;
-                   owner = Probe.Nic;
-                   where = "nic:rx-ring";
-                 });
-          Queue.add
-            { rx_id; rx_frame = packet; host_bytes; arrived = Sim.now t.sim }
-            t.pending;
-          probe_ring_depth t;
-          t.rx_packets <- t.rx_packets + 1;
-          gen_pause_check_high t;
-          evaluate_coalescing t
-          end
-        end
-        else begin
-          Log.warn (fun m ->
-              m "%s: receive ring full, dropping %a" t.name Eth_frame.pp
-                packet);
-          t.rx_dropped <- t.rx_dropped + 1
-        end);
-    loop ()
-  in
-  loop ()
+    | Some quanta ->
+        on_pause_frame t ~quanta;
+        None
+    | None -> (
+        match reassemble t frame with
+        | None -> None
+        | Some packet as landed ->
+            if not (admit_host_bytes t (Eth_frame.buffer_bytes packet))
+            then begin
+              (* Host kernel pool at its hard watermark: shed the frame
+                 here, with its own counted reason, rather than letting the
+                 allocation fail deeper in the stack.  Reliable senders
+                 retransmit. *)
+              t.rx_dropped_mem <- t.rx_dropped_mem + 1;
+              None
+            end
+            else if Semaphore.try_acquire t.rx_slots then landed
+            else begin
+              Log.warn (fun m ->
+                  m "%s: receive ring full, dropping %a" t.name Eth_frame.pp
+                    packet);
+              t.rx_dropped <- t.rx_dropped + 1;
+              None
+            end)
+
+let[@clic.atomic] rec rx_pump t () = Mailbox.on_recv t.rx_wire (rx_arrive t)
+
+and[@clic.atomic] rx_arrive t frame =
+  Sim.post t.sim
+    ~after:(service_span t t.firmware_per_frame)
+    (rx_service t frame)
+
+and[@clic.atomic] rx_service t frame () =
+  match rx_classify t frame with
+  | None -> rx_pump t ()
+  | Some packet ->
+      let host_bytes = Eth_frame.buffer_bytes packet in
+      Dma.transfer ~pci:t.pci ~membus:t.membus host_bytes
+        (rx_land t packet host_bytes)
+
+and[@clic.atomic] rx_land t packet host_bytes () =
+  (if t.down then
+     (* Power failed while the DMA was in flight: the ring this descriptor
+        was headed for has already been drained, so landing it now would
+        strand it there forever.  The slot we took must go back —
+        power_off only released the slots that were in the ring at the
+        instant it ran. *)
+     Semaphore.release t.rx_slots
+   else begin
+     let rx_id = !next_rx_id in
+     incr next_rx_id;
+     if !Probe.on then
+       Probe.emit
+         (Probe.Obj_alloc
+            {
+              kind = Probe.Rx_buffer;
+              id = rx_id;
+              bytes = host_bytes;
+              owner = Probe.Nic;
+              where = "nic:rx-ring";
+            });
+     Queue.add
+       { rx_id; rx_frame = packet; host_bytes; arrived = Sim.now t.sim }
+       t.pending;
+     probe_ring_depth t;
+     t.rx_packets <- t.rx_packets + 1;
+     gen_pause_check_high t;
+     evaluate_coalescing t
+   end);
+  rx_pump t ()
 
 (* ------------------------------------------------------------------ *)
 (* Power control (node crash / reboot) *)
@@ -554,9 +599,9 @@ let create sim ~name ~mtu ~pci ~membus ?(tx_ring = 64) ?(rx_ring = 128)
     }
   in
   Counters.register sim ~scope:name counters t;
-  Process.spawn sim (tx_dma_pump t);
-  Process.spawn sim (tx_phy_pump t);
-  Process.spawn sim (rx_pump t);
+  Sim.post sim ~after:0 (tx_dma_pump t);
+  Sim.post sim ~after:0 (tx_phy_pump t);
+  Sim.post sim ~after:0 (rx_pump t);
   t
 
 let attach_uplink t link =

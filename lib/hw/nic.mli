@@ -22,7 +22,10 @@
     v}
 
     Each stage occupies the corresponding resource, so the bottleneck moves
-    with configuration exactly as the paper discusses. *)
+    with configuration exactly as the paper discusses.  The stages are
+    run-to-completion event callbacks, like NIC firmware, not processes:
+    no NIC work suspends a fiber.  The only blocking entry point is
+    {!post_tx_blocking}, which blocks its caller. *)
 
 open Engine
 
@@ -48,8 +51,8 @@ type pause = {
   gen_low : int;  (** XON once the ring drains to this depth *)
   gen_quanta : int;  (** quanta per generated XOFF, 1..0xffff *)
 }
-(** 802.3x flow-control configuration.  A flow-controlled NIC also blocks
-    on uplink backpressure ({!Link.wait_room}) instead of blind-dumping
+(** 802.3x flow-control configuration.  A flow-controlled NIC also waits
+    on uplink backpressure ({!Link.on_room}) instead of blind-dumping
     frames into a full switch FIFO. *)
 
 val pause_802_3x : pause
@@ -62,7 +65,13 @@ type tx_desc = {
                          paths) *)
   internal_copy : bool;  (** stage through the NIC output buffer (paper's
                              Figure 1, paths 2 and 4) *)
-  on_complete : unit -> unit;  (** runs when the frame has left the NIC *)
+  on_complete : unit -> unit;
+      (** runs when the frame has left the NIC, in callback context: the
+          NIC's pipeline stages are event callbacks, not processes, so
+          [on_complete] must not block (no [Process.delay], [Ivar.read],
+          [Semaphore.acquire], ...).  Hand blocking work to a process,
+          e.g. with [Process.spawn].  clic-lint cannot check this: a call
+          through a record field is not a call-graph edge (DESIGN §12). *)
 }
 
 type rx_desc = {

@@ -30,7 +30,7 @@
 
     Uplinks may be bounded ([ingress_frames]): a station blind-dumping into
     a full uplink FIFO loses frames to {!ingress_drops}, the failure mode
-    PAUSE-honouring NICs avoid by blocking on {!Link.wait_room}. *)
+    PAUSE-honouring NICs avoid by waiting on {!Link.on_room}. *)
 
 type buffer = {
   total_bytes : int;  (** whole shared packet buffer *)

@@ -33,8 +33,11 @@ let copy ?priority ?bytes_per_s t ~membus n =
   if n < 0 then invalid_arg "Cpu.copy: negative size"
   else if n > 0 then begin
     (* The memory-bus crossing (read + write) happens while the CPU is
-       held; neither the CPU nor later bus users see it as free. *)
-    Process.fork (fun () -> Bus.transfer membus (Hw.Membus.copy_bytes n));
+       held; neither the CPU nor later bus users see it as free.  It
+       starts in its own zero-delay event, after the caller has claimed
+       (or queued for) the CPU. *)
+    Sim.post (Bus.sim membus) ~after:0 (fun () ->
+        Bus.transfer_then membus (Hw.Membus.copy_bytes n) ignore);
     work_sliced ?priority t (copy_time ?bytes_per_s t n)
   end
 

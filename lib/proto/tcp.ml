@@ -454,9 +454,8 @@ let send c n =
           let chunk = min remaining (t.p.socket_buffer / 2) in
           Semaphore.acquire ~n:chunk c.send_room;
           (* copy_from_user + checksum in one pass (preemptible) *)
-          Process.fork (fun () ->
-              Bus.transfer e.Hostenv.membus (Hw.Membus.copy_bytes chunk));
-          Cpu.work_sliced (cpu t) (byte_time t.p.tx_bytes_per_s chunk);
+          Cpu.copy ~bytes_per_s:t.p.tx_bytes_per_s (cpu t)
+            ~membus:e.Hostenv.membus chunk;
           c.unsent <- c.unsent + chunk;
           push_data c;
           feed (remaining - chunk)

@@ -502,6 +502,146 @@ let test_units () =
     (Units.bandwidth_mbps ~bytes:100_000 ~span:(Time.ms 1.));
   check_int "kib" 4096 (Units.kib 4)
 
+(* ------------------------------------------------------------------ *)
+(* Callback forms beside their blocking counterparts *)
+
+(* Runs [f] with a probe sink collecting the Busy spans as
+   [(start, finish)]. *)
+let busy_spans f =
+  let spans = ref [] in
+  Probe.install (function
+    | Probe.Span { track = Probe.Busy; start; finish; _ } ->
+        spans := (start, finish) :: !spans
+    | _ -> ());
+  Fun.protect ~finally:Probe.uninstall f;
+  List.rev !spans
+
+let test_resource_hold_mixed_order () =
+  let sim = Sim.create () in
+  let r = Resource.create sim ~name:"cpu" in
+  let log = ref [] in
+  let finished who () = log := (who, Sim.now sim) :: !log in
+  let blocking ~delay ~priority who =
+    Process.spawn sim ~delay (fun () ->
+        Resource.use ~priority r 5;
+        finished who ())
+  in
+  let callback ~delay ~priority who =
+    Sim.post sim ~after:delay (fun () ->
+        Resource.hold ~priority r 5 (finished who))
+  in
+  Process.spawn sim (fun () ->
+      Resource.use r 10;
+      finished "holder" ());
+  blocking ~delay:1 ~priority:`Low "low-proc-1";
+  callback ~delay:2 ~priority:`Low "low-cb";
+  blocking ~delay:3 ~priority:`High "high-proc";
+  callback ~delay:4 ~priority:`High "high-cb";
+  blocking ~delay:5 ~priority:`Low "low-proc-2";
+  Sim.run sim;
+  Alcotest.(check (list (pair string int)))
+    "FCFS within a class across both forms, High ahead of Low"
+    [
+      ("holder", 10); ("high-proc", 15); ("high-cb", 20); ("low-proc-1", 25);
+      ("low-cb", 30); ("low-proc-2", 35);
+    ]
+    (List.rev !log)
+
+(* The same contention pattern through [use] and through [hold] leaves
+   identical accounting and Busy spans, zero-length grants included. *)
+let test_resource_hold_accounting_matches_use () =
+  let run start =
+    let sim = Sim.create () in
+    let r = Resource.create sim ~name:"bus" in
+    let spans =
+      busy_spans (fun () ->
+          List.iter
+            (fun (at, span) -> start sim r ~at span)
+            [ (0, 10); (0, 0); (0, 5); (30, 7); (31, 0) ];
+          Sim.run sim)
+    in
+    (Resource.busy_time r, Resource.grants r, spans, Sim.now sim)
+  in
+  let by_use sim r ~at span =
+    Process.spawn sim ~delay:at (fun () -> Resource.use r span)
+  in
+  let by_hold sim r ~at span =
+    Sim.post sim ~after:at (fun () -> Resource.hold r span ignore)
+  in
+  let ((busy, grants, spans, _) as expected) = run by_use in
+  check_int "busy time" 22 busy;
+  check_int "grants" 5 grants;
+  Alcotest.(check (list (pair int int)))
+    "busy spans" [ (0, 10); (10, 15); (30, 37) ] spans;
+  check_bool "hold: same busy time, grants, spans and end" true
+    (run by_hold = expected)
+
+(* A contended [use] is granted by the release that reaches it and
+   finishes one span later: three arrivals, hand-computed instants. *)
+let test_resource_contended_use_instants () =
+  let sim = Sim.create () in
+  let r = Resource.create sim ~name:"cpu" in
+  let finishes = ref [] in
+  let spans =
+    busy_spans (fun () ->
+        List.iter
+          (fun (who, at, span) ->
+            Process.spawn sim ~delay:at (fun () ->
+                Resource.use r span;
+                finishes := (who, Sim.now sim) :: !finishes))
+          [ (1, 0, 10); (2, 2, 4); (3, 3, 6) ];
+        Sim.run sim)
+  in
+  Alcotest.(check (list (pair int int)))
+    "(grant, release) of each holder" [ (0, 10); (10, 14); (14, 20) ] spans;
+  Alcotest.(check (list (pair int int)))
+    "each process resumes at its finish" [ (1, 10); (2, 14); (3, 20) ]
+    (List.rev !finishes)
+
+let test_mailbox_mixed_waiters () =
+  let sim = Sim.create () in
+  let mb = Mailbox.create () in
+  let got = ref [] in
+  let note who v = got := (who, v) :: !got in
+  Process.spawn sim (fun () -> note "proc-1" (Mailbox.recv mb));
+  Sim.post sim ~after:1 (fun () -> Mailbox.on_recv mb (note "callback"));
+  Process.spawn sim ~delay:2 (fun () -> note "proc-2" (Mailbox.recv mb));
+  Sim.post sim ~after:5 (fun () ->
+      check_int "three waiters" 3 (Mailbox.waiters mb);
+      List.iter (Mailbox.send mb) [ "a"; "b"; "c" ]);
+  Sim.run sim;
+  Alcotest.(check (list (pair string string)))
+    "served in arrival order"
+    [ ("proc-1", "a"); ("callback", "b"); ("proc-2", "c") ]
+    (List.rev !got);
+  let now = ref "" in
+  Mailbox.send mb "d";
+  Mailbox.on_recv mb (fun v -> now := v);
+  Alcotest.(check string) "a queued message is taken at once" "d" !now
+
+let test_semaphore_mixed_waiters () =
+  let sim = Sim.create () in
+  let sem = Semaphore.create 0 in
+  let got = ref [] in
+  let note who () = got := (who, Sim.now sim) :: !got in
+  Process.spawn sim (fun () ->
+      Semaphore.acquire sem;
+      note "proc-1" ());
+  Sim.post sim ~after:1 (fun () ->
+      Semaphore.on_acquire ~n:2 sem (note "callback"));
+  Process.spawn sim ~delay:2 (fun () ->
+      Semaphore.acquire sem;
+      note "proc-2" ());
+  List.iter
+    (fun (at, n) -> Sim.post sim ~after:at (fun () -> Semaphore.release ~n sem))
+    [ (5, 1); (6, 1); (7, 1); (8, 1) ];
+  Sim.run sim;
+  Alcotest.(check (list (pair string int)))
+    "FIFO across both forms; the two-permit callback holds up the queue"
+    [ ("proc-1", 5); ("callback", 7); ("proc-2", 8) ]
+    (List.rev !got);
+  check_int "no permit left over" 0 (Semaphore.available sem)
+
 let test_process_nested_forks () =
   let sim = Sim.create () in
   let count = ref 0 in
@@ -772,5 +912,14 @@ let suite =
     ("histogram empty", `Quick, test_histogram_empty);
     ("mailbox receiver order", `Quick, test_mailbox_competing_receivers_fifo);
     ("probe nested sinks", `Quick, test_probe_nested_sinks);
+    ("resource hold: order beside use", `Quick, test_resource_hold_mixed_order);
+    ("resource hold: accounting equals use", `Quick,
+      test_resource_hold_accounting_matches_use);
+    ("resource contended use instants", `Quick,
+      test_resource_contended_use_instants);
+    ("mailbox callback and blocking receivers", `Quick,
+      test_mailbox_mixed_waiters);
+    ("semaphore callback and blocking waiters", `Quick,
+      test_semaphore_mixed_waiters);
   ]
   @ List.map (fun (n, s, f) -> (n, s, f)) qprops

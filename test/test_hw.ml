@@ -79,6 +79,26 @@ let test_link_back_to_back_pipelining () =
   (* 100 frames of 1538 wire bytes at 1 Gbit/s: clock ends at last arrival *)
   check_int "stream duration" (100 * 12_304 + 500) (Sim.now sim)
 
+(* [on_room] answers at once with space, else from the event that takes
+   the blocking frame off the queue. *)
+let test_link_on_room () =
+  let sim = Sim.create () in
+  let link = Link.create sim ~name:"l" ~bits_per_s:1e9 ~queue_limit:1 () in
+  Link.connect link ignore;
+  let woke = ref [] in
+  Link.on_room link (fun () -> woke := Sim.now sim :: !woke);
+  check_bool "room at once" true (!woke = [ 0 ]);
+  (* the first frame goes straight onto the wire, the second fills the
+     one-frame queue *)
+  Link.send link (raw ~src:0 ~dst:1 1500);
+  Link.send link (raw ~src:0 ~dst:1 1500);
+  check_bool "full" false (Link.has_room link);
+  Link.on_room link (fun () -> woke := Sim.now sim :: !woke);
+  Sim.run sim;
+  Alcotest.(check (list int))
+    "woken when the queued frame starts serializing" [ 0; 12_304 ]
+    (List.rev !woke)
+
 let test_link_fault_injection () =
   let sim = Sim.create () in
   let link =
@@ -277,9 +297,7 @@ let test_dma_occupies_both_buses () =
   in
   let membus = Bus.create sim ~name:"mem" ~bytes_per_s:800e6 () in
   let finished = ref 0 in
-  Process.spawn sim (fun () ->
-      Dma.transfer ~pci ~membus 100_000;
-      finished := Sim.now sim);
+  Dma.transfer ~pci ~membus 100_000 (fun () -> finished := Sim.now sim);
   Sim.run sim;
   (* PCI is slower: 100kB at 100 MB/s = 1ms + 1us setup *)
   check_int "bounded by pci" (Time.us 1001.) !finished;
@@ -289,7 +307,14 @@ let test_dma_zero_bytes () =
   let sim = Sim.create () in
   let pci = Bus.create sim ~name:"pci" ~bytes_per_s:1e6 () in
   let membus = Bus.create sim ~name:"mem" ~bytes_per_s:1e6 () in
-  Process.spawn sim (fun () -> Dma.transfer ~pci ~membus 0);
+  let spans = ref 0 in
+  Probe.install (function Probe.Span _ -> incr spans | _ -> ());
+  let finished = ref false in
+  Dma.transfer ~pci ~membus 0 (fun () -> finished := true);
+  Probe.uninstall ();
+  check_bool "completes synchronously" true !finished;
+  check_int "no span" 0 !spans;
+  check_int "nothing posted" 0 (Sim.pending sim);
   Sim.run sim;
   check_int "instant" 0 (Sim.now sim)
 
@@ -1394,6 +1419,7 @@ let suite =
     ("link delivery fifo", `Quick, test_link_delivery_and_fifo);
     ("link pipelining", `Quick, test_link_back_to_back_pipelining);
     ("link fault injection", `Quick, test_link_fault_injection);
+    ("link on_room", `Quick, test_link_on_room);
     ("fault duplication", `Quick, test_fault_duplicate_copies);
     ("fault gilbert-elliott", `Quick, test_fault_gilbert_elliott_bursts);
     ("fault link flap", `Quick, test_fault_flap_windows);

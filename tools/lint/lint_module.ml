@@ -64,7 +64,6 @@ let blocking_primitives =
     "Process.await";
     "Mailbox.recv";
     "Ivar.read";
-    "Link.wait_room";
     "Resource.acquire";
     "Resource.use";
     "Resource.use_f";
