@@ -1,14 +1,19 @@
 (* Events/sec microbenchmarks for the simulation engine hot path.
 
-   Three families, sized so a full run finishes in seconds:
+   Four families, sized so a full run finishes in seconds:
 
    - empty-dispatch: one self-rescheduling chain of no-op events; measures
      the bare schedule+pop+dispatch cycle with a near-empty heap.
    - churn: schedule waves of far-future events, cancel half of them, then
-     drain; measures push/cancel/lazy-deletion throughput with a deep heap.
+     drain; measures push/in-place-removal throughput with a deep heap.
    - mesh-N: N nodes ping-pong with their partner concurrently, so the
      heap holds ~N outstanding events at all times; measures the whole
      loop at the heap depths the thousand-node scenarios produce.
+   - timer-rearm: mesh-64 where every receive also re-arms its node's
+     far-future timeout with cancel plus schedule, the pattern of the
+     protocols' retransmission and interrupt-holdoff timers.  Each
+     cancelled timeout would sit in the heap for a hundred hops if
+     cancellation left it there.
 
    Every benchmark returns the number of events the simulator executed;
    the driver divides by min-of-3 wall clock for events/sec. *)
@@ -32,8 +37,8 @@ let empty_dispatch ~events () =
   Sim.events_executed sim
 
 (* Waves of handle-returning schedules with half the handles cancelled
-   before the drain: the cancelled slots ride through the heap as lazy
-   deletions.  Returns schedules + cancels as the op count. *)
+   before the drain, each cancel taking its entry out of a heap ~1000
+   deep.  Returns schedules + cancels as the op count. *)
 let churn ~ops () =
   let sim = Sim.create () in
   let wave = 1024 in
@@ -52,15 +57,25 @@ let churn ~ops () =
   done;
   !ops_done
 
-let mesh ~nodes ~rounds () =
+(* With [timeout], each node holds a timer [timeout] ns out that every
+   receive cancels and schedules anew; only the last one per node
+   fires. *)
+let mesh ?timeout ~nodes ~rounds () =
   if nodes land 1 <> 0 then invalid_arg "mesh: nodes must be even";
   let sim = Sim.create () in
   let remaining = Array.make nodes rounds in
+  let arm after = Sim.schedule sim ~after (fun () -> ()) in
+  let timers = Array.init nodes (fun _ -> Option.map arm timeout) in
   (* Per-node latencies are deliberately unequal so the heap sees a spread
      of deadlines rather than one synchronized instant. *)
   let rec send i j =
     post sim ~after:(1_000 + (17 * i mod 64)) (fun () -> recv j i)
   and recv j i =
+    (match timers.(j) with
+    | Some h ->
+        Sim.cancel h;
+        timers.(j) <- Option.map arm timeout
+    | None -> ());
     if remaining.(j) > 0 then begin
       remaining.(j) <- remaining.(j) - 1;
       send j i
@@ -105,8 +120,15 @@ let suite ~quick =
       (fun n ->
         ( Printf.sprintf "engine/mesh-%d" n,
           n,
-          mesh ~nodes:n ~rounds:(scale (2_000_000 / n) (100_000 / n)) ))
+          mesh ?timeout:None ~nodes:n
+            ~rounds:(scale (2_000_000 / n) (100_000 / n)) ))
       mesh_sizes
+  @ [
+      ( "engine/timer-rearm",
+        64,
+        mesh ~timeout:100_000 ~nodes:64
+          ~rounds:(scale (2_000_000 / 64) (100_000 / 64)) );
+    ]
 
 let run ?(runs = 3) ~quick () =
   List.map

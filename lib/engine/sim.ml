@@ -4,8 +4,8 @@
    event and keeps the OCaml write barrier off the hot path:
 
    - Events live in a slot arena of parallel arrays (thunk, seq, tie,
-     state, generation), not in per-event records.  A free-slot stack
-     recycles drained and cancelled slots, so a steady stream of
+     generation, heap position), not in per-event records.  A free-slot
+     stack recycles drained and cancelled slots, so a steady stream of
      {!post}s allocates nothing; the only pointer write per event is
      storing the thunk into its slot (a free slot keeps its fired
      closure until reuse overwrites it — the run entry points sweep the
@@ -18,9 +18,20 @@
      no pointer chasing and no [caml_modify] per level (moving boxed
      event records costs a write-barrier call per sift level; moving
      ints costs a store), and in FIFO mode they never touch the slot
-     arrays at all because the aux seq decides every key tie.  The sift
-     loops use unchecked array access — indices are bounded by [hsize],
-     which never exceeds the shared capacity.
+     arrays (bar the position index) because the aux seq decides every
+     key tie.  The sift loops use unchecked array access — indices are
+     bounded by [hsize], which never exceeds the shared capacity.
+
+   - The heap holds live events only.  Each slot records its heap
+     position ([s_pos], kept by the sifts), so {!cancel} takes its entry
+     out in place: the last entry fills the hole and sifts whichever way
+     restores heap order, and the slot is freed at once.  Protocol
+     timers (retransmission, delayed ack, interrupt holdoff) are almost
+     all cancelled long before they would fire; left in the heap as dead
+     entries until they reached the root, they made it many times larger
+     than its live content, and every sift pays for that depth.
+     Pop order depends only on the set of live (key, aux, seq) triples,
+     a total order, so removing an entry early changes no firing order.
 
    - Handle-returning {!schedule} allocates a small handle per call.  The
      handle names its slot through a generation counter, so a handle
@@ -39,21 +50,22 @@ type t = {
   mutable s_thunk : (unit -> unit) array;
   mutable s_seq : int array; (* monotone; FIFO tie-break *)
   mutable s_tie : int array; (* seeded permutation key; unused in FIFO *)
-  mutable s_state : int array; (* st_scheduled / st_cancelled *)
   mutable s_gen : int array; (* bumped on free; validates handles *)
+  mutable s_pos : int array; (* slot -> heap position while queued *)
   mutable free : int array; (* free-slot stack *)
   mutable free_n : int;
   mutable slots_used : int; (* slots ever handed out; rest are virgin *)
   tie_rng : Rng.t option;
   mutable next_seq : int;
   mutable executed : int;
-  mutable live : int; (* scheduled and not cancelled/fired *)
   counters : (string * (string -> int option)) list ref;
       (* {!Counters}' storage, newest first *)
 }
 
 (* [hcancelled] mirrors the successful-cancel outcome so {!is_cancelled}
-   stays true even after the cancelled slot drains and is recycled. *)
+   stays true after the cancelled slot is recycled.  The slot is queued
+   exactly while its generation equals [gen]: firing and cancelling both
+   free it, and freeing bumps the generation. *)
 type handle = {
   owner : t;
   slot : int;
@@ -62,8 +74,6 @@ type handle = {
 }
 
 let ignore_thunk () = ()
-let st_scheduled = 0
-let st_cancelled = 1
 
 (* Last-resort ordering when key and aux both compare equal: impossible
    in FIFO mode (aux is the unique seq); in rng mode two events drew the
@@ -73,9 +83,11 @@ let[@inline] [@clic.hot] seq_before sim sa sb =
 
 (* Hole-based sifts: carry the moving (key, aux, slot) triple in locals
    and write it once at its final position instead of swapping per
-   level. *)
+   level.  Every entry they place gets its [s_pos] updated in the same
+   step. *)
 let[@clic.hot] sift_up sim i0 =
   let keys = sim.keys and haux = sim.haux and hidx = sim.hidx in
+  let pos = sim.s_pos in
   let kev = Array.unsafe_get keys i0 in
   let aev = Array.unsafe_get haux i0 in
   let sev = Array.unsafe_get hidx i0 in
@@ -91,19 +103,23 @@ let[@clic.hot] sift_up sim i0 =
               || (aev = ap
                   && seq_before sim sev (Array.unsafe_get hidx p))))
     then begin
+      let sp = Array.unsafe_get hidx p in
       Array.unsafe_set keys !i kp;
       Array.unsafe_set haux !i ap;
-      Array.unsafe_set hidx !i (Array.unsafe_get hidx p);
+      Array.unsafe_set hidx !i sp;
+      Array.unsafe_set pos sp !i;
       i := p
     end
     else stop := true
   done;
   Array.unsafe_set keys !i kev;
   Array.unsafe_set haux !i aev;
-  Array.unsafe_set hidx !i sev
+  Array.unsafe_set hidx !i sev;
+  Array.unsafe_set pos sev !i
 
 let[@clic.hot] sift_down sim i0 =
   let keys = sim.keys and haux = sim.haux and hidx = sim.hidx in
+  let pos = sim.s_pos in
   let n = sim.hsize in
   let kev = Array.unsafe_get keys i0 in
   let aev = Array.unsafe_get haux i0 in
@@ -173,9 +189,11 @@ let[@clic.hot] sift_down sim i0 =
                 || (!ac = aev
                     && seq_before sim (Array.unsafe_get hidx !c) sev)))
       then begin
+        let sc = Array.unsafe_get hidx !c in
         Array.unsafe_set keys !i !kc;
         Array.unsafe_set haux !i !ac;
-        Array.unsafe_set hidx !i (Array.unsafe_get hidx !c);
+        Array.unsafe_set hidx !i sc;
+        Array.unsafe_set pos sc !i;
         i := !c
       end
       else stop := true
@@ -183,7 +201,8 @@ let[@clic.hot] sift_down sim i0 =
   done;
   Array.unsafe_set keys !i kev;
   Array.unsafe_set haux !i aev;
-  Array.unsafe_set hidx !i sev
+  Array.unsafe_set hidx !i sev;
+  Array.unsafe_set pos sev !i
 
 let[@inline never] grow sim =
   let cap = Array.length sim.free in
@@ -196,7 +215,7 @@ let[@inline never] grow sim =
   (* The heap arrays carry 3 extra sentinel positions (keys = max_int)
      so the 4-ary child scan can always read a full block of four
      children without bounds arithmetic; [pop_root] restores the
-     sentinel when the heap shrinks. *)
+     sentinel when the heap shrinks, and so does {!cancel}. *)
   let gh fill a =
     let n = Array.make (ncap + 3) fill in
     Array.blit a 0 n 0 (Array.length a);
@@ -208,8 +227,8 @@ let[@inline never] grow sim =
   sim.s_thunk <- g ignore_thunk sim.s_thunk;
   sim.s_seq <- g 0 sim.s_seq;
   sim.s_tie <- g 0 sim.s_tie;
-  sim.s_state <- g st_scheduled sim.s_state;
   sim.s_gen <- g 0 sim.s_gen;
+  sim.s_pos <- g 0 sim.s_pos;
   sim.free <- g 0 sim.free
 
 let[@inline] [@clic.hot] alloc_slot sim =
@@ -267,15 +286,14 @@ let create ?tie_break () =
     s_thunk = [||];
     s_seq = [||];
     s_tie = [||];
-    s_state = [||];
     s_gen = [||];
+    s_pos = [||];
     free = [||];
     free_n = 0;
     slots_used = 0;
     tie_rng;
     next_seq = 0;
     executed = 0;
-    live = 0;
     counters = ref [];
   }
 
@@ -294,9 +312,8 @@ let[@inline] [@clic.hot] enqueue sim ~at thunk =
   let s = alloc_slot sim in
   Array.unsafe_set sim.s_thunk s thunk;
   Array.unsafe_set sim.s_seq s seq;
-  Array.unsafe_set sim.s_state s st_scheduled;
   (* First-level tie-break carried beside the key: the unique seq in
-     FIFO mode (sifts then never touch the slot arrays), the seeded tie
+     FIFO mode (sifts then never read the slot arrays), the seeded tie
      key under the determinism checker's permuted ordering. *)
   let aux =
     match sim.tie_rng with
@@ -307,7 +324,6 @@ let[@inline] [@clic.hot] enqueue sim ~at thunk =
         tie
   in
   sim.next_seq <- seq + 1;
-  sim.live <- sim.live + 1;
   let i = sim.hsize in
   sim.hsize <- i + 1;
   Array.unsafe_set sim.keys i at;
@@ -331,19 +347,28 @@ let[@clic.hot] post sim ~after thunk =
   if after < 0 then invalid_arg "Sim.post: negative delay";
   post_at sim ~at:(Time.add sim.clock after) thunk
 
-let cancel h =
-  if not h.hcancelled then begin
-    let sim = h.owner in
-    if
-      sim.s_gen.(h.slot) = h.gen && sim.s_state.(h.slot) = st_scheduled
-    then begin
-      sim.s_state.(h.slot) <- st_cancelled;
-      (* Drop the closure now; the slot itself drains from the heap
-         lazily. *)
-      sim.s_thunk.(h.slot) <- ignore_thunk;
-      sim.live <- sim.live - 1;
-      h.hcancelled <- true
+(* Takes the entry out of the heap where it sits: the last entry moves
+   into the hole and sifts up if it now beats its parent, down
+   otherwise, and the vacated tail position gets its sentinel back. *)
+let[@clic.hot] cancel h =
+  let sim = h.owner and s = h.slot in
+  if Array.unsafe_get sim.s_gen s = h.gen then begin
+    let p = Array.unsafe_get sim.s_pos s in
+    let n = sim.hsize - 1 in
+    sim.hsize <- n;
+    if p < n then begin
+      let last = Array.unsafe_get sim.hidx n in
+      Array.unsafe_set sim.keys p (Array.unsafe_get sim.keys n);
+      Array.unsafe_set sim.haux p (Array.unsafe_get sim.haux n);
+      Array.unsafe_set sim.hidx p last;
+      Array.unsafe_set sim.keys n max_int;
+      sift_up sim p;
+      if Array.unsafe_get sim.s_pos last = p then sift_down sim p
     end
+    else Array.unsafe_set sim.keys n max_int;
+    Array.unsafe_set sim.s_thunk s ignore_thunk;
+    free_slot sim s;
+    h.hcancelled <- true
   end
 
 let is_cancelled h = h.hcancelled
@@ -368,29 +393,21 @@ let[@inline] [@clic.hot] pop_root sim =
 let total_executed = ref 0
 let global_events_executed () = !total_executed
 
-let[@clic.hot] rec step sim =
+let[@clic.hot] step sim =
   if sim.hsize = 0 then false
   else begin
     let at = Array.unsafe_get sim.keys 0 in
     let s = Array.unsafe_get sim.hidx 0 in
     pop_root sim;
-    if Array.unsafe_get sim.s_state s = st_cancelled then begin
-      (* [cancel] already removed it from the live count. *)
-      free_slot sim s;
-      step sim
-    end
-    else begin
-      sim.clock <- at;
-      sim.live <- sim.live - 1;
-      sim.executed <- sim.executed + 1;
-      incr total_executed;
-      let thunk = Array.unsafe_get sim.s_thunk s in
-      (* Free before dispatch so the thunk's own posts reuse the slot. *)
-      free_slot sim s;
-      if !Probe.on then Probe.emit (Probe.Clock { now = at });
-      thunk ();
-      true
-    end
+    sim.clock <- at;
+    sim.executed <- sim.executed + 1;
+    incr total_executed;
+    let thunk = Array.unsafe_get sim.s_thunk s in
+    (* Free before dispatch so the thunk's own posts reuse the slot. *)
+    free_slot sim s;
+    if !Probe.on then Probe.emit (Probe.Clock { now = at });
+    thunk ();
+    true
   end
 
 let run sim =
@@ -407,22 +424,12 @@ let run_n sim n =
   !i
 
 let run_until sim ~limit =
-  let continue_ = ref true in
-  while !continue_ do
-    if sim.hsize = 0 then continue_ := false
-    else begin
-      let s = Array.unsafe_get sim.hidx 0 in
-      if Array.unsafe_get sim.s_state s = st_cancelled then begin
-        pop_root sim;
-        free_slot sim s
-      end
-      else if Array.unsafe_get sim.keys 0 <= limit then ignore (step sim)
-      else continue_ := false
-    end
+  while sim.hsize > 0 && Array.unsafe_get sim.keys 0 <= limit do
+    ignore (step sim : bool)
   done;
   if sim.clock < limit then sim.clock <- limit;
   clear_free_thunks sim
 
-let pending sim = sim.live
+let pending sim = sim.hsize
 let events_executed sim = sim.executed
 let counters sim = sim.counters

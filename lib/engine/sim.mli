@@ -5,11 +5,11 @@
     order (FIFO), which makes runs fully deterministic.
 
     Two scheduling tiers exist.  {!post} is the fast path: it returns no
-    handle, so the engine pools and reuses its event records — a steady
-    stream of posts allocates nothing.  {!schedule} returns a {!handle}
-    for later {!cancel}; because callers routinely retain handles past
-    the event's firing, those records are freshly allocated and never
-    recycled.  Prefer [post] anywhere the event is never cancelled.
+    handle, and the engine recycles its event slots — a steady stream of
+    posts allocates nothing.  {!schedule} also allocates the small
+    {!handle} it returns for later {!cancel}; a handle stays safe to hold
+    past its event's firing, since it can never touch a recycled slot.
+    Prefer [post] anywhere the event is never cancelled.
 
     Higher-level blocking-style code is built on top of this in
     {!Process}. *)
@@ -54,9 +54,11 @@ val post : t -> after:Time.span -> (unit -> unit) -> unit
     might need {!cancel} must use {!schedule}. *)
 
 val cancel : handle -> unit
-(** Cancelling an already-fired or already-cancelled event is a no-op.
-    Takes effect immediately in {!pending}; the cancelled record drains
-    from the queue lazily. *)
+(** Removes the event from the queue at once, in time logarithmic in the
+    number of pending events, and allocates nothing.  The queue holds
+    live events only, so a timer that is re-armed on every packet costs
+    no queue depth.  Cancelling an already-fired or already-cancelled
+    event is a no-op. *)
 
 val is_cancelled : handle -> bool
 
@@ -78,9 +80,8 @@ val run_n : t -> int -> int
     @raise Invalid_argument on a negative count. *)
 
 val pending : t -> int
-(** Number of scheduled (non-cancelled) events, for tests/diagnostics.
-    Cancelled events leave the count at {!cancel} time, not when their
-    record drains from the queue. *)
+(** Number of scheduled events that have neither fired nor been
+    cancelled: the queue's size, for tests and diagnostics. *)
 
 val events_executed : t -> int
 (** Total count of events fired since creation. *)

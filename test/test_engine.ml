@@ -86,9 +86,25 @@ let test_sim_run_until () =
   Sim.run sim;
   check_int "rest run" 10 !count
 
-(* Satellite regression: [pending] must reflect a cancel immediately (the
-   cancelled slot still rides the heap as a lazy deletion) and must not
-   double-count a double cancel. *)
+(* [pending] must reflect a cancel immediately (the cancel takes the
+   entry out of the heap) and must not double-count a double cancel. *)
+(* A limit with only cancelled entries before it fires nothing and still
+   moves the clock to the limit. *)
+let test_sim_run_until_cancelled_only () =
+  let sim = Sim.create () in
+  let fired = ref [] in
+  let h1 = Sim.schedule sim ~after:10 (fun () -> fired := 10 :: !fired) in
+  let h2 = Sim.schedule sim ~after:20 (fun () -> fired := 20 :: !fired) in
+  ignore (Sim.schedule sim ~after:100 (fun () -> fired := 100 :: !fired));
+  Sim.cancel h2;
+  Sim.cancel h1;
+  Sim.run_until sim ~limit:50;
+  Alcotest.(check (list int)) "nothing fired" [] !fired;
+  check_int "clock at the limit" 50 (Sim.now sim);
+  check_int "the later event still pending" 1 (Sim.pending sim);
+  Sim.run sim;
+  Alcotest.(check (list int)) "only the live event fired" [ 100 ] !fired
+
 let test_sim_pending_counts_cancel () =
   let sim = Sim.create () in
   let h1 = Sim.schedule sim ~after:10 (fun () -> ()) in
@@ -200,6 +216,76 @@ let prop_sim_arena_model =
       in
       drain ();
       !ok && Sim.pending sim = 0 && List.rev !fired = List.rev !expect)
+
+(* Differential check of removal on cancel: simulator A cancels, while
+   simulator B, fed the same script, lets each "cancelled" event fire as
+   a marked no-op that is filtered out.  The surviving events must fire
+   in the same order on both, in FIFO mode and under a seeded tie-break
+   (both simulators draw the same tie keys, since draws happen only at
+   enqueue), and A's [pending] must count exactly the live events after
+   every operation.  Short delays make same-instant ties common. *)
+let prop_sim_cancel_differential =
+  QCheck.Test.make ~count:300
+    ~name:"sim cancel fires survivors in the no-op-filtered order"
+    QCheck.(
+      pair (option (int_range 0 1_000))
+        (list (pair (int_range 0 5) (int_range 0 40))))
+    (fun (tie_break, ops) ->
+      let a = Sim.create ?tie_break () and b = Sim.create ?tie_break () in
+      let fired_a = ref [] and fired_b = ref [] in
+      let handles = ref [||] in
+      (* Per id: [dead] once cancelled before it fired, [done_] once it
+         fired on B. *)
+      let dead = Hashtbl.create 16 and done_ = Hashtbl.create 16 in
+      let live = ref 0 in
+      let ok = ref true in
+      List.iter
+        (fun (kind, arg) ->
+          if kind <= 2 then begin
+            let id = Array.length !handles in
+            let h =
+              Sim.schedule a ~after:arg (fun () -> fired_a := id :: !fired_a)
+            in
+            ignore
+              (Sim.schedule b ~after:arg (fun () ->
+                   Hashtbl.replace done_ id ();
+                   if not (Hashtbl.mem dead id) then begin
+                     decr live;
+                     fired_b := id :: !fired_b
+                   end));
+            handles := Array.append !handles [| h |];
+            incr live
+          end
+          else if kind <= 4 then begin
+            let n = Array.length !handles in
+            if n > 0 then begin
+              (* Any handle, including fired and already-cancelled ones. *)
+              let id = arg mod n in
+              Sim.cancel !handles.(id);
+              if not (Hashtbl.mem dead id || Hashtbl.mem done_ id) then begin
+                Hashtbl.replace dead id ();
+                decr live
+              end
+            end
+          end
+          else begin
+            let k = arg mod 5 in
+            let n_a = Sim.run_n a k in
+            (* B steps until it has fired as many live events, never past
+               the last one, so both clocks end on the same event. *)
+            let n_b = ref 0 in
+            while !n_b < k && !live > 0 do
+              let before = !live in
+              ignore (Sim.run_n b 1 : int);
+              if !live < before then incr n_b
+            done;
+            if n_a <> !n_b || Sim.now a <> Sim.now b then ok := false
+          end;
+          if Sim.pending a <> !live then ok := false)
+        ops;
+      Sim.run a;
+      Sim.run b;
+      !ok && Sim.pending a = 0 && !live = 0 && !fired_a = !fired_b)
 
 let test_sim_past_raises () =
   let sim = Sim.create () in
@@ -779,7 +865,8 @@ let prop_semaphore_never_negative =
       Semaphore.available sem = permits)
 
 let qprops = List.map QCheck_alcotest.to_alcotest
-    [ prop_sim_arena_model; prop_rng_int_in_bounds;
+    [ prop_sim_arena_model; prop_sim_cancel_differential;
+      prop_rng_int_in_bounds;
       prop_rng_exponential_positive; prop_rng_pareto_support;
       prop_arrival_streams_seed_deterministic;
       prop_semaphore_never_negative ]
@@ -879,6 +966,8 @@ let suite =
     ("sim cancel", `Quick, test_sim_cancel);
     ("sim nested schedule", `Quick, test_sim_nested_schedule);
     ("sim run_until", `Quick, test_sim_run_until);
+    ("sim run_until past cancelled only", `Quick,
+      test_sim_run_until_cancelled_only);
     ("sim pending tracks cancel", `Quick, test_sim_pending_counts_cancel);
     ("sim post", `Quick, test_sim_post);
     ("sim run_n", `Quick, test_sim_run_n);
